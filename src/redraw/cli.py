@@ -143,7 +143,7 @@ def _cmd_count_drawings(cfg: RunConfig) -> int:
             "BackendMismatch",
             f"direct={counts[0]} oracle={counts[1]} disagree",
         )
-        return 2
+        return 1
     _emit(cfg, "\n".join(str(c) for c in counts))
     return 0
 
@@ -285,14 +285,13 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    env_max = os.environ.get("REDRAW_MAX_N")
+def _config_from_args(args: argparse.Namespace, max_n: int | None) -> RunConfig:
     cfg = RunConfig(
         command=args.command,
         backend=getattr(args, "backend", "direct"),
         constraint=getattr(args, "constraint", "none"),
         jobs=getattr(args, "jobs", 1),
-        max_n=int(env_max) if env_max else None,
+        max_n=max_n,
         cap=getattr(args, "cap", None),
         out=getattr(args, "out", None),
         stream=getattr(args, "stream", False),
@@ -343,7 +342,13 @@ def run(cfg: RunConfig) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    return run(_config_from_args(args))
+    env_max = os.environ.get("REDRAW_MAX_N")
+    try:
+        max_n = int(env_max) if env_max else None
+    except ValueError:
+        _fail("UsageError", f"REDRAW_MAX_N must be an integer, got {env_max!r}")
+        return 2
+    return run(_config_from_args(args, max_n))
 
 
 if __name__ == "__main__":

@@ -20,11 +20,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cmp_to_key
-from itertools import combinations
 from math import comb as _binom
-from typing import Iterable, Sequence
-
-import networkx as nx
+from typing import Iterable, Iterator, Sequence
 
 from .geometry import Point, convex_hull, general_position, segments_cross
 from .pointsets import gen_double_chain, gen_nested_triangles
@@ -324,6 +321,8 @@ def from_edge_list(
     holds for maximal planar graphs; exactly one of the two mirror
     orientations matches the requested outer face.
     """
+    import networkx as nx  # imported here: it costs most of redraw's start-up
+
     es = sorted({_norm_edge(a, b) for a, b in edges})
     g = nx.Graph(es)
     g.add_nodes_from(range(num_vertices))
@@ -355,46 +354,86 @@ def tutte_count(n: int) -> int:
     return q
 
 
+def _holes(rots: Sequence[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
+    """Counterclockwise polygons into which a new vertex can be coned.
+
+    Around a vertex a, consecutive neighbours b, c, d, e give the internal
+    face (a,b,c) [E3], the quadrilateral a,b,c,d left by deleting the
+    interior edge a-c [E4], and the pentagon a,b,c,d,e left by deleting
+    the two inner edges of the fan (a,b,c),(a,c,d),(a,d,e) [E5].  At a
+    corner of the outer face (0,1,2) the walk stops at that face.
+    """
+    for a, rot in enumerate(rots):
+        d = len(rot)
+        if a < 3:  # the outer face lies between (a+2)%3 and (a+1)%3
+            i = rot.index((a + 1) % 3)
+            walk = rot[i:] + rot[:i]
+            fans = (d - 1, d - 2, d - 3)  # runs of 1, 2 and 3 faces
+        else:
+            walk = rot + rot[:3]
+            fans = (d, d, d if d > 3 else 0)  # E5 needs five distinct corners
+        for j in range(fans[0]):
+            b, c = walk[j : j + 2]
+            if a < b and a < c:  # each face once
+                yield (a, b, c)
+        for j in range(fans[1]):
+            if a < walk[j + 1]:  # each edge once
+                yield (a, *walk[j : j + 3])
+        for j in range(fans[2]):
+            yield (a, *walk[j : j + 4])
+
+
+def _cone(
+    rots: Sequence[tuple[int, ...]], hole: tuple[int, ...]
+) -> tuple[tuple[int, ...], ...]:
+    """Rotations after adding vertex len(rots) joined to every corner of hole.
+
+    Each corner keeps its neighbours outside the hole and sees the new
+    vertex in place of whatever it saw inside (the deleted chords).
+    """
+    x = len(rots)
+    out = list(rots)
+    k = len(hole)
+    for i, p in enumerate(hole):
+        rot = rots[p]
+        s = rot.index(hole[(i + 1) % k])  # the inside runs ccw from s to e
+        e = rot.index(hole[i - 1])
+        out[p] = rot[: s + 1] + (x,) + rot[e:] if s < e else rot[e : s + 1] + (x,)
+    out.append(hole)
+    return tuple(out)
+
+
 def enumerate_comb_triangulations(
     n: int, cap: int | None = None
 ) -> list[CombTriangulation]:
     """Every triangulation with outer face (0,1,2) and n interior vertices.
 
-    Exhaustive search over edge subsets, filtered by planarity, embedded,
-    and deduplicated by canonical code.  Output order is deterministic
-    (sorted by code).  Guarded to n <= 4; the search is an oracle, not a
-    scalable generator.
+    Grown level by level from the triangle by vertex insertion (E3, E4,
+    E5 of `_holes`), keeping one structure per canonical code.  By Euler's
+    formula every triangulation has an interior vertex of degree at most
+    5; deleting it and re-triangulating its hole without a multi-edge (at
+    most one diagonal of a quadrilateral and two chords of a pentagon,
+    sharing an end, can already be present) gives a triangulation one
+    level down, so nothing is missed.
+    Output order is deterministic (sorted by code).  Guarded to n <= 4.
     """
     if n < 0:
         raise ValueError("n >= 0 required")
     if n > ENUM_INTERIOR_GUARD:
         raise ValueError(f"interior count {n} exceeds guard {ENUM_INTERIOR_GUARD}")
-    nv = n + 3
-    base = [(0, 1), (0, 2), (1, 2)]
-    rest = [e for e in combinations(range(nv), 2) if e not in base]
-    need = (3 * nv - 6) - 3
-    found: dict[bytes, CombTriangulation] = {}
-    for extra in combinations(rest, need):
-        edges = base + list(extra)
-        deg = [0] * nv
-        for a, b in edges:
-            deg[a] += 1
-            deg[b] += 1
-        if nv > 3 and min(deg) < 3:
-            continue
-        planar, emb = nx.check_planarity(nx.Graph(edges))
-        if not planar:
-            continue
-        rots = [tuple(emb.neighbors_cw_order(v)) for v in range(nv)]
-        for cand in (rots, [tuple(reversed(r)) for r in rots]):
-            try:
-                t = CombTriangulation(nv, (0, 1, 2), tuple(cand))
-            except ValueError:
-                continue
-            found.setdefault(canonical_code(t), t)
-        if cap is not None and len(found) > cap:
-            raise RuntimeError(f"more than cap={cap} triangulations")
-    return [t for _, t in sorted(found.items())]
+    outer = (0, 1, 2)
+    triangle = ((1, 2), (2, 0), (0, 1))
+    level = {_code_from_rotations(3, outer, triangle): triangle}
+    for nv in range(4, n + 4):
+        grown: dict[bytes, tuple[tuple[int, ...], ...]] = {}
+        for rots in level.values():
+            for hole in _holes(rots):
+                child = _cone(rots, hole)
+                grown.setdefault(_code_from_rotations(nv, outer, child), child)
+        level = grown
+    if cap is not None and len(level) > cap:
+        raise RuntimeError(f"more than cap={cap} triangulations")
+    return [CombTriangulation(n + 3, outer, level[code]) for code in sorted(level)]
 
 
 # -- the two recursive families --------------------------------------------

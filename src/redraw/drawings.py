@@ -403,13 +403,12 @@ def apply_drawing(
 
 
 def _direct_search(
-    t: CombTriangulation, ps: PointSet, collect: bool
-) -> tuple[int, set[int], list[DrawingMapping]]:
-    """Backtracking over assignments; returns (mapping count, image masks,
-    mappings if collect).  Boundary is pinned, interior searched with
-    crossing and face orientation pruning, every leaf verified from
-    scratch against t's rotation system."""
-    hull = _check_compatible(t, ps)
+    t: CombTriangulation, ps: PointSet, hull: list[int]
+) -> tuple[int, set[int]]:
+    """Backtracking over assignments; returns (mapping count, image masks).
+    Boundary is pinned to hull, as checked by `_check_compatible`; the
+    interior is searched with crossing and face orientation pruning, every
+    leaf verified from scratch against t's rotation system."""
     tab = _tables_for(ps)
     pts = tab.pts
     n = t.num_vertices
@@ -443,7 +442,6 @@ def _direct_search(
     for i, v in enumerate(t.outer_face):
         nxt = t.outer_face[(i + 1) % len(t.outer_face)]
         placed_edges |= 1 << tab.eid[_norm_edge(hull[i], asg[nxt])]
-    mappings: list[DrawingMapping] = []
     image_masks: set[int] = set()
     count = 0
 
@@ -454,8 +452,6 @@ def _direct_search(
             if is_valid_drawing(t, ps, m):  # rotation level verification
                 count += 1
                 image_masks.add(placed_edges)
-                if collect:
-                    mappings.append(m)
             return
         v = order[step]
         nbrs = step_nbrs[step]
@@ -488,12 +484,12 @@ def _direct_search(
     # hull edges must themselves not cross anything later; they cannot,
     # they are on the hull.  Interior search starts immediately.
     place(0, placed_edges)
-    return count, image_masks, mappings
+    return count, image_masks
 
 
 def count_mappings(t: CombTriangulation, ps: PointSet) -> int:
     """Number of label assignments drawing t on ps with the boundary pinned."""
-    count, _, _ = _direct_search(t, ps, collect=False)
+    count, _ = _direct_search(t, ps, _check_compatible(t, ps))
     return count
 
 
@@ -516,7 +512,7 @@ def count_drawings(
     tab = _tables_for(ps)
     wits: list[GeomTriangulation] | None = None
     if backend == "direct":
-        _, image_masks, _ = _direct_search(t, ps, collect=False)
+        _, image_masks = _direct_search(t, ps, hull)
         found = sorted(image_masks)
     elif backend == "oracle":
         target = canonical_code(t)

@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from redraw.comb import from_rotation_json
+from redraw import cli
+from redraw.comb import build_k_nested_regular, from_rotation_json
 from redraw.pointsets import PointSet, gen_double_chain
 
 
@@ -172,3 +173,48 @@ def test_usage_errors_exit_two():
     assert json.loads(r.stderr)["error"] == "UsageError"
     r = run_cli("count-drawings", "--t", "3")
     assert r.returncode == 2
+
+
+def test_non_integer_guard_env_is_a_usage_error():
+    r = run_cli("tutte", "2", env_extra={"REDRAW_MAX_N": "abc"})
+    assert r.returncode == 2
+    assert r.stdout == ""
+    err = json.loads(r.stderr)
+    assert err["error"] == "UsageError"
+    assert "REDRAW_MAX_N" in err["message"]
+
+
+def test_backend_mismatch_exits_one(tmp_path, monkeypatch, capsys):
+    tf = tmp_path / "t.json"
+    tf.write_text(build_k_nested_regular(4).to_json())
+    pf = tmp_path / "ps.json"
+    pf.write_text(PointSet(((0, 0), (40, 0), (20, 30), (20, 12))).to_json())
+    real = cli.count_drawings
+
+    def skewed(t, ps, backend="direct", **kwargs):
+        count, wits = real(t, ps, backend=backend, **kwargs)
+        return (count + 1 if backend == "oracle" else count), wits
+
+    monkeypatch.setattr(cli, "count_drawings", skewed)
+    monkeypatch.delenv("REDRAW_MAX_N", raising=False)
+    argv = ["count-drawings", "--triangulation", str(tf), "--pointset", str(pf),
+            "--backend", "both"]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error": "BackendMismatch",
+                               "message": "direct=1 oracle=2 disagree"}
+
+
+def test_start_up_does_not_import_networkx():
+    r = subprocess.run(
+        [sys.executable, "-c", "import redraw, sys; print('networkx' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert r.returncode == 0 and r.stdout == "False\n"
+    r = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "redraw", "--help"],
+        capture_output=True, text=True,
+    )
+    assert r.returncode == 0 and "usage: redraw" in r.stdout
+    assert "networkx" not in r.stderr

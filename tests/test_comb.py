@@ -1,10 +1,12 @@
 import itertools
 import math
 
+import networkx as nx
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from redraw import comb
 from redraw.comb import (
     CombTriangulation,
     build_k_nested_double_chain,
@@ -144,6 +146,84 @@ def test_enumeration_is_canonical_and_sorted():
         assert t.outer_face == (0, 1, 2)
         assert t.num_vertices == 5
         assert t.edge_count == 9
+
+
+def _edge_subset_enumeration(n):
+    """Reference: every edge subset of the right size that embeds with
+    outer face (0,1,2), deduplicated by canonical code, sorted by code."""
+    nv = n + 3
+    base = [(0, 1), (0, 2), (1, 2)]
+    rest = [e for e in itertools.combinations(range(nv), 2) if e not in base]
+    found = {}
+    for extra in itertools.combinations(rest, 3 * nv - 9):
+        edges = base + list(extra)
+        deg = [0] * nv
+        for a, b in edges:
+            deg[a] += 1
+            deg[b] += 1
+        if nv > 3 and min(deg) < 3:
+            continue
+        planar, emb = nx.check_planarity(nx.Graph(edges))
+        if not planar:
+            continue
+        rots = [tuple(emb.neighbors_cw_order(v)) for v in range(nv)]
+        for cand in (rots, [tuple(reversed(r)) for r in rots]):
+            try:
+                t = CombTriangulation(nv, (0, 1, 2), tuple(cand))
+            except ValueError:
+                continue
+            found.setdefault(canonical_code(t), t)
+    return [t for _, t in sorted(found.items())]
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_insertion_matches_edge_subset_reference(n):
+    out = enumerate_comb_triangulations(n)
+    ref = _edge_subset_enumeration(n)
+    assert [canonical_code(t) for t in out] == [canonical_code(t) for t in ref]
+    for t in out:
+        assert t.outer_face == (0, 1, 2)
+        assert t.edge_count == 3 * (n + 3) - 6
+
+
+def test_insertion_reaches_tutte_count_past_the_guard(monkeypatch):
+    monkeypatch.setattr(comb, "ENUM_INTERIOR_GUARD", 5)
+    out = enumerate_comb_triangulations(5)
+    assert len({canonical_code(t) for t in out}) == tutte_count(5) == 399
+    for t in out:
+        assert t.outer_face == (0, 1, 2)
+        assert t.edge_count == 3 * 8 - 6
+
+
+def test_every_insertion_is_a_valid_triangulation():
+    sizes = set()
+    for n in range(4):
+        for t in enumerate_comb_triangulations(n):
+            for hole in comb._holes(t.rotations):
+                child = CombTriangulation(n + 4, (0, 1, 2), comb._cone(t.rotations, hole))
+                assert child.degree(n + 3) == len(hole)
+                sizes.add(len(hole))
+    assert sizes == {3, 4, 5}
+
+
+def test_icosahedron_needs_the_degree_five_insertion():
+    # 0 on top, rings 1..5 and 6..10, 11 at the bottom; outer face (0,1,2)
+    ring = range(5)
+    edges = [(0, 1 + i) for i in ring] + [(11, 6 + i) for i in ring]
+    edges += [(1 + i, 1 + (i + 1) % 5) for i in ring]
+    edges += [(6 + i, 6 + (i + 1) % 5) for i in ring]
+    edges += [(1 + i, 6 + i) for i in ring] + [(1 + i, 6 + (i + 1) % 5) for i in ring]
+    ico = from_edge_list(12, edges, (0, 1, 2))
+    assert all(ico.degree(v) == 5 for v in range(3, 12))  # no E3 or E4 parent
+    # delete vertex 11 and fan its pentagon 6..10 from 6
+    chords = [(6, 8), (6, 9)]
+    fan = from_edge_list(11, [e for e in edges if 11 not in e] + chords, (0, 1, 2))
+    codes = {
+        canonical_code(CombTriangulation(12, (0, 1, 2), comb._cone(fan.rotations, hole)))
+        for hole in comb._holes(fan.rotations)
+        if len(hole) == 5
+    }
+    assert canonical_code(ico) in codes
 
 
 def test_enumeration_guard_and_cap():
