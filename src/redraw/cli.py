@@ -14,12 +14,10 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Callable, Sequence
 
-from .bounds import AlphaVector, ConstraintKind, exponent_rate, optimize_growth
+from .bounds import ConstraintKind, exponent_rate, optimize_growth
 from .comb import (
-    CombTriangulation,
     build_k_nested_double_chain,
     build_k_nested_regular,
     enumerate_comb_triangulations,
@@ -33,6 +31,7 @@ from .drawings import (
     count_drawings,
     count_polygonalizations,
     enumerate_geometric_triangulations,
+    recursive_layer_count,
     render_svg,
 )
 from .pointsets import PointSet, gen_double_chain, gen_nested_triangles
@@ -44,29 +43,14 @@ _CONSTRAINT_TOKENS = {
 }
 
 
-@dataclass
-class RunConfig:
-    """Everything one invocation needs, normalized from argv."""
-
-    command: str
-    backend: str = "direct"
-    constraint: str = "none"
-    jobs: int = 1
-    max_n: int | None = None
-    cap: int | None = None
-    out: str | None = None
-    stream: bool = False
-    params: dict[str, Any] = field(default_factory=dict)
-
-
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+def _emit(args: argparse.Namespace, text: str) -> None:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -74,68 +58,61 @@ def _emit(cfg: RunConfig, text: str) -> None:
             sys.stdout.write("\n")
 
 
-def _load_pointset(cfg: RunConfig) -> PointSet:
-    return PointSet.from_json(_read(cfg.params["pointset"]))
+def _load_pointset(args: argparse.Namespace) -> PointSet:
+    return PointSet.from_json(_read(args.pointset))
 
 
-def _load_comb(cfg: RunConfig) -> CombTriangulation:
-    return from_rotation_json(_read(cfg.params["triangulation"]))
-
-
-def _cmd_gen(cfg: RunConfig) -> int:
-    fam = cfg.params["family"]
-    if fam == "double-chain":
-        ps = gen_double_chain(cfg.params["t"], cfg.params["l"])
+def _cmd_gen(args: argparse.Namespace) -> int:
+    if args.family == "double-chain":
+        ps = gen_double_chain(args.t, args.l)
     else:
-        ps = gen_nested_triangles(cfg.params["n"])
-    _emit(cfg, ps.to_json())
+        ps = gen_nested_triangles(args.n)
+    _emit(args, ps.to_json())
     return 0
 
 
-def _cmd_build(cfg: RunConfig) -> int:
-    fam = cfg.params["family"]
-    if fam == "nested-double-chain":
-        t = build_k_nested_double_chain(cfg.params["k"])
+def _cmd_build(args: argparse.Namespace) -> int:
+    if args.family == "nested-double-chain":
+        t = build_k_nested_double_chain(args.k)
     else:
-        t = build_k_nested_regular(cfg.params["n"])
-    _emit(cfg, t.to_json())
+        t = build_k_nested_regular(args.n)
+    _emit(args, t.to_json())
     return 0
 
 
-def _cmd_tutte(cfg: RunConfig) -> int:
-    _emit(cfg, str(tutte_count(cfg.params["n"])))
+def _cmd_tutte(args: argparse.Namespace) -> int:
+    _emit(args, str(tutte_count(args.n)))
     return 0
 
 
-def _cmd_enumerate(cfg: RunConfig) -> int:
-    if cfg.params.get("interior") is not None:
-        ts = enumerate_comb_triangulations(cfg.params["interior"], cap=cfg.cap)
-        if cfg.stream:
-            _emit(cfg, "".join(t.to_json() + "\n" for t in ts))
+def _cmd_enumerate(args: argparse.Namespace) -> int:
+    if args.interior is not None:
+        ts = enumerate_comb_triangulations(args.interior, cap=args.cap)
+        if args.stream:
+            _emit(args, "".join(t.to_json() + "\n" for t in ts))
         else:
-            _emit(cfg, str(len(ts)))
+            _emit(args, str(len(ts)))
         return 0
-    ps = _load_pointset(cfg)
     gen = enumerate_geometric_triangulations(
-        ps, cap=cfg.cap, max_n=cfg.max_n, jobs=cfg.jobs
+        _load_pointset(args), cap=args.cap, max_n=args.max_n, jobs=args.jobs
     )
-    if cfg.stream:
-        _emit(cfg, "".join(gt.to_json() + "\n" for gt in gen))
+    if args.stream:
+        _emit(args, "".join(gt.to_json() + "\n" for gt in gen))
     else:
-        _emit(cfg, str(sum(1 for _ in gen)))
+        _emit(args, str(sum(1 for _ in gen)))
     return 0
 
 
-def _cmd_count_drawings(cfg: RunConfig) -> int:
-    if cfg.params.get("t") is not None:
+def _cmd_count_drawings(args: argparse.Namespace) -> int:
+    if args.t is not None:
         t = build_k_nested_double_chain(1)
-        ps = gen_double_chain(cfg.params["t"] + 2, cfg.params["l"] + 2)
+        ps = gen_double_chain(args.t + 2, args.l + 2)
     else:
-        t = _load_comb(cfg)
-        ps = _load_pointset(cfg)
-    backends = ["direct", "oracle"] if cfg.backend == "both" else [cfg.backend]
+        t = from_rotation_json(_read(args.triangulation))
+        ps = _load_pointset(args)
+    backends = ["direct", "oracle"] if args.backend == "both" else [args.backend]
     counts = [
-        count_drawings(t, ps, backend=b, max_n=cfg.max_n, jobs=cfg.jobs)[0]
+        count_drawings(t, ps, backend=b, max_n=args.max_n, jobs=args.jobs)[0]
         for b in backends
     ]
     if len(counts) == 2 and counts[0] != counts[1]:
@@ -144,62 +121,46 @@ def _cmd_count_drawings(cfg: RunConfig) -> int:
             f"direct={counts[0]} oracle={counts[1]} disagree",
         )
         return 1
-    _emit(cfg, "\n".join(str(c) for c in counts))
+    _emit(args, "\n".join(str(c) for c in counts))
     return 0
 
 
-def _cmd_classify(cfg: RunConfig) -> int:
-    hist = classify_drawings(_load_pointset(cfg), max_n=cfg.max_n, jobs=cfg.jobs)
-    _emit(cfg, classify_to_csv(hist))
+def _cmd_classify(args: argparse.Namespace) -> int:
+    hist = classify_drawings(_load_pointset(args), max_n=args.max_n, jobs=args.jobs)
+    _emit(args, classify_to_csv(hist))
     return 0
 
 
-def _cmd_polygons(cfg: RunConfig) -> int:
+def _cmd_polygons(args: argparse.Namespace) -> int:
     n = count_polygonalizations(
-        _load_pointset(cfg), cap=cfg.cap, max_n=cfg.max_n, jobs=cfg.jobs
+        _load_pointset(args), cap=args.cap, max_n=args.max_n, jobs=args.jobs
     )
-    _emit(cfg, str(n))
+    _emit(args, str(n))
     return 0
 
 
-def _cmd_layer_count(cfg: RunConfig) -> int:
-    from .drawings import recursive_layer_count
-
-    _emit(cfg, str(recursive_layer_count(cfg.params["k"])))
+def _cmd_layer_count(args: argparse.Namespace) -> int:
+    _emit(args, str(recursive_layer_count(args.k)))
     return 0
 
 
-def _cmd_bounds(cfg: RunConfig) -> int:
-    kind = _CONSTRAINT_TOKENS[cfg.constraint]
-    vec, growth = optimize_growth(kind, tolerance=cfg.params.get("tolerance", 1e-12))
+def _cmd_bounds(args: argparse.Namespace) -> int:
+    kind = _CONSTRAINT_TOKENS[args.constraint]
+    vec, growth = optimize_growth(kind, tolerance=args.tolerance)
     report = {
         "constraint": kind.value,
         "alpha": list(vec.alpha),
         "growth": growth,
         "exponent": exponent_rate(vec.alpha) / 8.0,
     }
-    _emit(cfg, json.dumps(report, separators=(",", ":")))
+    _emit(args, json.dumps(report, separators=(",", ":")))
     return 0
 
 
-def _cmd_render(cfg: RunConfig) -> int:
-    gt = GeomTriangulation.from_json(_read(cfg.params["geom"]))
-    _emit(cfg, render_svg(gt))
+def _cmd_render(args: argparse.Namespace) -> int:
+    gt = GeomTriangulation.from_json(_read(args.geom))
+    _emit(args, render_svg(gt))
     return 0
-
-
-_DISPATCH = {
-    "gen": _cmd_gen,
-    "build": _cmd_build,
-    "tutte": _cmd_tutte,
-    "enumerate": _cmd_enumerate,
-    "count-drawings": _cmd_count_drawings,
-    "classify": _cmd_classify,
-    "polygons": _cmd_polygons,
-    "layer-count": _cmd_layer_count,
-    "bounds": _cmd_bounds,
-    "render": _cmd_render,
-}
 
 
 def _fail(kind: str, message: str) -> None:
@@ -213,7 +174,13 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp: argparse.ArgumentParser, jobs: bool = False, cap: bool = False):
+    def common(
+        sp: argparse.ArgumentParser,
+        func: Callable[[argparse.Namespace], int],
+        jobs: bool = False,
+        cap: bool = False,
+    ):
+        sp.set_defaults(func=func)
         sp.add_argument("-o", "--out", help="write output to this file")
         if jobs:
             sp.add_argument("--jobs", type=int, default=1, help="worker count")
@@ -225,23 +192,23 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--t", type=int, help="upper chain size")
     sp.add_argument("--l", type=int, help="lower chain size")
     sp.add_argument("--n", type=int, help="point count")
-    common(sp)
+    common(sp, _cmd_gen)
 
     sp = sub.add_parser("build", help="build a reference triangulation")
     sp.add_argument("family", choices=["nested-double-chain", "nested-regular"])
     sp.add_argument("--k", type=int, help="layer count")
     sp.add_argument("--n", type=int, help="vertex count")
-    common(sp)
+    common(sp, _cmd_build)
 
     sp = sub.add_parser("tutte", help="exact triangulation count for n interior vertices")
     sp.add_argument("n", type=int)
-    common(sp)
+    common(sp, _cmd_tutte)
 
     sp = sub.add_parser("enumerate", help="enumerate triangulations exhaustively")
     sp.add_argument("--pointset", help="point set JSON file (geometric mode)")
     sp.add_argument("--interior", type=int, help="interior vertex count (abstract mode)")
     sp.add_argument("--stream", action="store_true", help="print one JSON per line")
-    common(sp, jobs=True, cap=True)
+    common(sp, _cmd_enumerate, jobs=True, cap=True)
 
     sp = sub.add_parser("count-drawings", help="count drawings of a triangulation on a point set")
     sp.add_argument("--triangulation", help="rotation system JSON file")
@@ -254,19 +221,19 @@ def _parser() -> argparse.ArgumentParser:
         default="direct",
         help="direct assignment search, exhaustive oracle, or both cross checked",
     )
-    common(sp, jobs=True)
+    common(sp, _cmd_count_drawings, jobs=True)
 
     sp = sub.add_parser("classify", help="histogram of drawing classes of a point set")
     sp.add_argument("--pointset", required=True)
-    common(sp, jobs=True)
+    common(sp, _cmd_classify, jobs=True)
 
     sp = sub.add_parser("polygons", help="count polygonalizations of a point set")
     sp.add_argument("--pointset", required=True)
-    common(sp, jobs=True, cap=True)
+    common(sp, _cmd_polygons, jobs=True, cap=True)
 
     sp = sub.add_parser("layer-count", help="layered assembly count for k layers")
     sp.add_argument("k", type=int)
-    common(sp)
+    common(sp, _cmd_layer_count)
 
     sp = sub.add_parser("bounds", help="optimize the degree distribution growth bound")
     sp.add_argument(
@@ -276,79 +243,56 @@ def _parser() -> argparse.ArgumentParser:
         help="paper: degree weighted mass balance, balance: mean degree four, none: simplex only",
     )
     sp.add_argument("--tolerance", type=float, default=1e-12)
-    common(sp)
+    common(sp, _cmd_bounds)
 
     sp = sub.add_parser("render", help="render a geometric triangulation to SVG")
     sp.add_argument("--geom", required=True, help="geometric triangulation JSON file")
-    common(sp)
+    common(sp, _cmd_render)
 
     return p
 
 
-def _config_from_args(args: argparse.Namespace, max_n: int | None) -> RunConfig:
-    cfg = RunConfig(
-        command=args.command,
-        backend=getattr(args, "backend", "direct"),
-        constraint=getattr(args, "constraint", "none"),
-        jobs=getattr(args, "jobs", 1),
-        max_n=max_n,
-        cap=getattr(args, "cap", None),
-        out=getattr(args, "out", None),
-        stream=getattr(args, "stream", False),
-    )
-    for key in ("family", "t", "l", "n", "k", "interior", "pointset",
-                "triangulation", "geom", "tolerance"):
-        if hasattr(args, key):
-            cfg.params[key] = getattr(args, key)
-    return cfg
-
-
-def _check_args(cfg: RunConfig) -> str | None:
-    p = cfg.params
-    if cfg.command == "gen":
-        if p["family"] == "double-chain" and (p.get("t") is None or p.get("l") is None):
+def _check_args(args: argparse.Namespace) -> str | None:
+    if args.command == "gen":
+        if args.family == "double-chain" and (args.t is None or args.l is None):
             return "gen double-chain needs --t and --l"
-        if p["family"] == "nested-triangles" and p.get("n") is None:
+        if args.family == "nested-triangles" and args.n is None:
             return "gen nested-triangles needs --n"
-    if cfg.command == "build":
-        if p["family"] == "nested-double-chain" and p.get("k") is None:
+    if args.command == "build":
+        if args.family == "nested-double-chain" and args.k is None:
             return "build nested-double-chain needs --k"
-        if p["family"] == "nested-regular" and p.get("n") is None:
+        if args.family == "nested-regular" and args.n is None:
             return "build nested-regular needs --n"
-    if cfg.command == "enumerate":
-        if (p.get("pointset") is None) == (p.get("interior") is None):
+    if args.command == "enumerate":
+        if (args.pointset is None) == (args.interior is None):
             return "enumerate needs exactly one of --pointset or --interior"
-    if cfg.command == "count-drawings":
-        shortcut = p.get("t") is not None or p.get("l") is not None
-        files = p.get("triangulation") is not None and p.get("pointset") is not None
-        if shortcut and (p.get("t") is None or p.get("l") is None):
+    if args.command == "count-drawings":
+        shortcut = args.t is not None or args.l is not None
+        files = args.triangulation is not None and args.pointset is not None
+        if shortcut and (args.t is None or args.l is None):
             return "count-drawings shortcut needs both --t and --l"
         if not shortcut and not files:
             return "count-drawings needs --triangulation and --pointset, or --t/--l"
     return None
 
 
-def run(cfg: RunConfig) -> int:
-    problem = _check_args(cfg)
-    if problem:
-        _fail("UsageError", problem)
-        return 2
-    try:
-        return _DISPATCH[cfg.command](cfg)
-    except Exception as exc:  # surface everything as a structured error
-        _fail(type(exc).__name__, str(exc))
-        return 1
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     env_max = os.environ.get("REDRAW_MAX_N")
     try:
-        max_n = int(env_max) if env_max else None
+        args.max_n = int(env_max) if env_max else None
     except ValueError:
         _fail("UsageError", f"REDRAW_MAX_N must be an integer, got {env_max!r}")
         return 2
-    return run(_config_from_args(args, max_n))
+    problem = _check_args(args)
+    if problem:
+        _fail("UsageError", problem)
+        return 2
+    try:
+        return args.func(args)
+    except Exception as exc:  # surface everything as a structured error
+        _fail(type(exc).__name__, str(exc))
+        return 1
 
 
 if __name__ == "__main__":

@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Iterator, Sequence
+from itertools import combinations, repeat
+from typing import Callable, Iterator
 
 from .comb import (
     CombTriangulation,
@@ -87,16 +88,17 @@ def to_comb(gt: GeomTriangulation) -> CombTriangulation:
     return gt._comb  # cached at construction
 
 
-# -- lookup tables for mask based search ------------------------------------
+# -- per point set index for mask based search -------------------------------
 
 
-class _Tables:
+class _Index:
     """Per point set tables.  Edge ids index the lexicographic pair list;
-    a triangulation is a bitmask over edge ids."""
+    a triangulation is a bitmask over edge ids.  `masks` holds every
+    triangulation of the set, sorted, once the enumeration has run."""
 
-    def __init__(self, pts: Sequence[Point]):
-        pts = tuple(Point(int(x), int(y)) for x, y in pts)
+    def __init__(self, pts: tuple[Point, ...]):
         self.pts = pts
+        self.masks: list[int] | None = None
         n = self.n = len(pts)
         self.pairs: list[Edge] = list(combinations(range(n), 2))
         m = self.m_all = len(self.pairs)
@@ -147,6 +149,16 @@ class _Tables:
             self.incident[a] |= 1 << i
             self.incident[b] |= 1 << i
 
+    def crossing(self, edges: list[Edge]) -> bool:
+        """Do any two of the edges cross?"""
+        drawn = 0
+        for e in edges:
+            i = self.eid[e]
+            if self.cross[i] & drawn:
+                return True
+            drawn |= 1 << i
+        return False
+
 
 def _strictly_inside(p: Point, a: Point, b: Point, c: Point) -> bool:
     s1 = orient(a, b, p)
@@ -155,46 +167,56 @@ def _strictly_inside(p: Point, a: Point, b: Point, c: Point) -> bool:
     return s1 is s2 is s3 and s1 is not Orientation.COLLINEAR
 
 
-_TABLE_CACHE: dict[tuple[Point, ...], _Tables] = {}
+_INDEXES: dict[tuple[Point, ...], _Index] = {}
 
 
-def _tables_for(ps: PointSet) -> _Tables:
-    key = tuple(ps.points)
-    tab = _TABLE_CACHE.get(key)
-    if tab is None:
-        tab = _TABLE_CACHE[key] = _Tables(ps.points)
-    return tab
+def _index_for(points: tuple[Point, ...]) -> _Index:
+    """The index of a point set, built on first use.  Pool workers look it
+    up by the same points; under fork they inherit the parent's entry."""
+    ix = _INDEXES.get(points)
+    if ix is None:
+        ix = _INDEXES[points] = _Index(points)
+    return ix
 
 
-def _seed_mask(tab: _Tables) -> int:
+def _worker_count(jobs: int, tasks: int | None = None) -> int:
+    # ProcessPoolExecutor forks all max_workers processes at the first
+    # submit, so more than the cores (or the tasks) only costs forks.
+    workers = min(jobs, os.cpu_count() or 1)
+    if tasks is not None:
+        workers = min(workers, tasks)
+    return max(workers, 1)
+
+
+def _seed_mask(ix: _Index) -> int:
     # greedy lexicographic plane graph completion; maximality makes it a
     # triangulation
     mask = 0
-    for i in range(tab.m_all):
-        if tab.cross[i] & mask == 0:
+    for i in range(ix.m_all):
+        if ix.cross[i] & mask == 0:
             mask |= 1 << i
     return mask
 
 
-def _mask_rotations(mask: int, tab: _Tables) -> tuple[tuple[int, ...], ...]:
+def _mask_rotations(mask: int, ix: _Index) -> tuple[tuple[int, ...], ...]:
     return tuple(
-        tuple(w for w, bit in ang if mask & bit) for ang in tab.angular
+        tuple(w for w, bit in ang if mask & bit) for ang in ix.angular
     )
 
 
-def _mask_code(mask: int, tab: _Tables) -> bytes:
-    return _code_from_rotations(tab.n, tab.hull, _mask_rotations(mask, tab))
+def _mask_code(mask: int, ix: _Index) -> bytes:
+    return _code_from_rotations(ix.n, ix.hull, _mask_rotations(mask, ix))
 
 
-def _mask_edges(mask: int, tab: _Tables) -> frozenset[Edge]:
-    return frozenset(tab.pairs[i] for i in range(tab.m_all) if mask >> i & 1)
+def _mask_edges(mask: int, ix: _Index) -> frozenset[Edge]:
+    return frozenset(ix.pairs[i] for i in range(ix.m_all) if mask >> i & 1)
 
 
-def _flip_neighbors(mask: int, tab: _Tables) -> list[int]:
+def _flip_neighbors(mask: int, ix: _Index) -> list[int]:
     out = []
-    flippable = mask & ~tab.hull_mask
-    apexes = tab.apexes
-    cross = tab.cross
+    flippable = mask & ~ix.hull_mask
+    apexes = ix.apexes
+    cross = ix.cross
     i = 0
     rem = flippable
     while rem:
@@ -209,73 +231,59 @@ def _flip_neighbors(mask: int, tab: _Tables) -> list[int]:
                 else:
                     cr = c
         if cl >= 0 and cr >= 0:
-            j = tab.eid[_norm_edge(cl, cr)]
+            j = ix.eid[_norm_edge(cl, cr)]
             if cross[j] >> i & 1:  # convex quadrilateral, diagonals swap
                 out.append((mask ^ low) | (1 << j))
     return out
 
 
-# Worker state for parallel frontier expansion.
-_WORK_TAB: _Tables | None = None
-
-
-def _init_worker(points: tuple[tuple[int, int], ...]) -> None:
-    global _WORK_TAB
-    _WORK_TAB = _Tables([Point(x, y) for x, y in points])
-
-
-def _expand_chunk(masks: list[int]) -> list[int]:
-    assert _WORK_TAB is not None
+def _expand_chunk(points: tuple[Point, ...], masks: list[int]) -> list[int]:
+    ix = _index_for(points)
     out: list[int] = []
     for m in masks:
-        out.extend(_flip_neighbors(m, _WORK_TAB))
+        out.extend(_flip_neighbors(m, ix))
     return out
 
 
-_MASK_CACHE: dict[tuple[Point, ...], list[int]] = {}
-
-
-def _enumerate_masks(
-    ps: PointSet, cap: int | None = None, max_n: int | None = None, jobs: int = 1
-) -> list[int]:
-    """All triangulation bitmasks of ps, by breadth first flip walks.
-
-    Diagonal flips connect the triangulations of any point set in general
-    position, so the walk from one seed reaches everything.  Results are
-    cached per point set and returned sorted.
-    """
+def _guarded_index(ps: PointSet, max_n: int | None) -> _Index:
+    """The index of ps, once ps has passed the enumeration guard."""
     limit = ENUM_POINT_GUARD if max_n is None else max_n
     if len(ps) > limit:
         raise ValueError(f"point set size {len(ps)} exceeds guard {limit}")
-    key = tuple(ps.points)
-    cached = _MASK_CACHE.get(key)
-    if cached is not None:
-        if cap is not None and len(cached) > cap:
+    return _index_for(ps.points)
+
+
+def _enumerate_masks(ix: _Index, cap: int | None = None, jobs: int = 1) -> list[int]:
+    """All triangulation bitmasks of the indexed set, by breadth first flip
+    walks.
+
+    Diagonal flips connect the triangulations of any point set in general
+    position, so the walk from one seed reaches everything.  Results are
+    kept on the index and returned sorted.
+    """
+    if ix.masks is not None:
+        if cap is not None and len(ix.masks) > cap:
             raise RuntimeError(f"more than cap={cap} triangulations")
-        return cached
-    tab = _tables_for(ps)
-    seed = _seed_mask(tab)
+        return ix.masks
+    seed = _seed_mask(ix)
     seen = {seed}
     frontier = [seed]
+    workers = _worker_count(jobs)
     pool = None
     try:
-        if jobs > 1:
-            pool = ProcessPoolExecutor(
-                max_workers=jobs,
-                initializer=_init_worker,
-                initargs=(tuple((p.x, p.y) for p in ps.points),),
-            )
+        if workers > 1:
+            pool = ProcessPoolExecutor(max_workers=workers)
         while frontier:
-            if pool is not None and len(frontier) > 4 * jobs:
-                chunk = (len(frontier) + jobs - 1) // jobs
+            if pool is not None and len(frontier) > 4 * workers:
+                chunk = (len(frontier) + workers - 1) // workers
                 chunks = [frontier[i : i + chunk] for i in range(0, len(frontier), chunk)]
                 produced: list[int] = []
-                for part in pool.map(_expand_chunk, chunks):
+                for part in pool.map(_expand_chunk, repeat(ix.pts), chunks):
                     produced.extend(part)
             else:
                 produced = []
                 for m in frontier:
-                    produced.extend(_flip_neighbors(m, tab))
+                    produced.extend(_flip_neighbors(m, ix))
             frontier = []
             for m in produced:
                 if m not in seen:
@@ -286,24 +294,23 @@ def _enumerate_masks(
     finally:
         if pool is not None:
             pool.shutdown()
-    masks = sorted(seen)
-    _MASK_CACHE[key] = masks
-    return masks
+    ix.masks = sorted(seen)
+    return ix.masks
 
 
 def enumerate_geometric_triangulations(
     ps: PointSet, cap: int | None = None, max_n: int | None = None, jobs: int = 1
 ) -> Iterator[GeomTriangulation]:
     """Yield every geometric triangulation of ps, deterministic order."""
-    tab = _tables_for(ps)
-    for mask in _enumerate_masks(ps, cap=cap, max_n=max_n, jobs=jobs):
-        yield GeomTriangulation(ps, _mask_edges(mask, tab))
+    ix = _guarded_index(ps, max_n)
+    for mask in _enumerate_masks(ix, cap=cap, jobs=jobs):
+        yield GeomTriangulation(ps, _mask_edges(mask, ix))
 
 
 def count_geometric_triangulations(
     ps: PointSet, cap: int | None = None, max_n: int | None = None, jobs: int = 1
 ) -> int:
-    return len(_enumerate_masks(ps, cap=cap, max_n=max_n, jobs=jobs))
+    return len(_enumerate_masks(_guarded_index(ps, max_n), cap=cap, jobs=jobs))
 
 
 # -- classification ----------------------------------------------------------
@@ -317,10 +324,10 @@ def classify_drawings(
     Keys are codes of the induced combinatorial triangulations (rooted at
     the hull), values how many geometric triangulations realize each.
     """
-    tab = _tables_for(ps)
+    ix = _guarded_index(ps, max_n)
     hist: dict[bytes, int] = defaultdict(int)
-    for mask in _enumerate_masks(ps, max_n=max_n, jobs=jobs):
-        hist[_mask_code(mask, tab)] += 1
+    for mask in _enumerate_masks(ix, jobs=jobs):
+        hist[_mask_code(mask, ix)] += 1
     return dict(hist)
 
 
@@ -366,20 +373,38 @@ def is_valid_drawing(
     hull[i].
     """
     hull = _check_compatible(t, ps)
+    pts = ps.points
+
+    def crossing(edges: list[Edge]) -> bool:
+        return any(
+            segments_cross(pts[a], pts[b], pts[c], pts[d])
+            for i, (a, b) in enumerate(edges)
+            for c, d in edges[i + 1 :]
+        )
+
+    return _draws(t, pts, hull, mapping, crossing)
+
+
+def _draws(
+    t: CombTriangulation,
+    pts: tuple[Point, ...],
+    hull: list[int],
+    mapping: DrawingMapping,
+    crossing: Callable[[list[Edge]], bool],
+) -> bool:
+    """The checks of `is_valid_drawing`, given the hull of pts and a test
+    whether any two of a list of edges cross."""
     asg = mapping.assignment
     n = t.num_vertices
     if sorted(asg) != list(range(n)):
         return False
     if any(asg[v] != hull[i] for i, v in enumerate(t.outer_face)):
         return False
-    pts = ps.points
     edges = sorted(mapping.image_edges(t))
     if len(edges) != t.edge_count:
         return False
-    for i, (a, b) in enumerate(edges):
-        for c, d in edges[i + 1 :]:
-            if segments_cross(pts[a], pts[b], pts[c], pts[d]):
-                return False
+    if crossing(edges):
+        return False
     inv = [0] * n
     for v, p in enumerate(asg):
         inv[p] = v
@@ -402,15 +427,13 @@ def apply_drawing(
     return GeomTriangulation(ps, mapping.image_edges(t))
 
 
-def _direct_search(
-    t: CombTriangulation, ps: PointSet, hull: list[int]
-) -> tuple[int, set[int]]:
+def _direct_search(t: CombTriangulation, ix: _Index) -> tuple[int, set[int]]:
     """Backtracking over assignments; returns (mapping count, image masks).
-    Boundary is pinned to hull, as checked by `_check_compatible`; the
+    Boundary is pinned to the hull, as checked by `_check_compatible`; the
     interior is searched with crossing and face orientation pruning, every
-    leaf verified from scratch against t's rotation system."""
-    tab = _tables_for(ps)
-    pts = tab.pts
+    leaf verified against t's rotation system."""
+    pts = ix.pts
+    hull = ix.hull
     n = t.num_vertices
     asg = [-1] * n
     used = 0
@@ -441,7 +464,7 @@ def _direct_search(
         )
     for i, v in enumerate(t.outer_face):
         nxt = t.outer_face[(i + 1) % len(t.outer_face)]
-        placed_edges |= 1 << tab.eid[_norm_edge(hull[i], asg[nxt])]
+        placed_edges |= 1 << ix.eid[_norm_edge(hull[i], asg[nxt])]
     image_masks: set[int] = set()
     count = 0
 
@@ -449,7 +472,7 @@ def _direct_search(
         nonlocal count, used
         if step == len(order):
             m = DrawingMapping(tuple(asg))
-            if is_valid_drawing(t, ps, m):  # rotation level verification
+            if _draws(t, pts, hull, m, ix.crossing):  # rotation level verification
                 count += 1
                 image_masks.add(placed_edges)
             return
@@ -462,8 +485,8 @@ def _direct_search(
             add = 0
             ok = True
             for u in nbrs:
-                e = tab.eid[_norm_edge(p, asg[u])]
-                if tab.cross[e] & (placed_edges | add):
+                e = ix.eid[_norm_edge(p, asg[u])]
+                if ix.cross[e] & (placed_edges | add):
                     ok = False
                     break
                 add |= 1 << e
@@ -489,7 +512,8 @@ def _direct_search(
 
 def count_mappings(t: CombTriangulation, ps: PointSet) -> int:
     """Number of label assignments drawing t on ps with the boundary pinned."""
-    count, _ = _direct_search(t, ps, _check_compatible(t, ps))
+    _check_compatible(t, ps)
+    count, _ = _direct_search(t, _index_for(ps.points))
     return count
 
 
@@ -509,28 +533,28 @@ def count_drawings(
     compares canonical codes.  The two share no counting logic.
     """
     hull = _check_compatible(t, ps)
-    tab = _tables_for(ps)
+    ix = _index_for(ps.points)
     wits: list[GeomTriangulation] | None = None
     if backend == "direct":
-        _, image_masks = _direct_search(t, ps, hull)
+        _, image_masks = _direct_search(t, ix)
         found = sorted(image_masks)
     elif backend == "oracle":
         target = canonical_code(t)
         corner_deg = [t.degree(v) for v in t.outer_face]
         deg_ms = sorted(len(r) for r in t.rotations)
         found = []
-        for mask in _enumerate_masks(ps, max_n=max_n, jobs=jobs):
-            degs = [(mask & tab.incident[v]).bit_count() for v in range(tab.n)]
+        for mask in _enumerate_masks(_guarded_index(ps, max_n), jobs=jobs):
+            degs = [(mask & ix.incident[v]).bit_count() for v in range(ix.n)]
             if [degs[p] for p in hull] != corner_deg:
                 continue
             if sorted(degs) != deg_ms:
                 continue
-            if _mask_code(mask, tab) == target:
+            if _mask_code(mask, ix) == target:
                 found.append(mask)
     else:
         raise ValueError(f"unknown backend {backend!r}")
     if witnesses:
-        wits = [GeomTriangulation(ps, _mask_edges(m, tab)) for m in found]
+        wits = [GeomTriangulation(ps, _mask_edges(m, ix)) for m in found]
     return len(found), wits
 
 
@@ -552,36 +576,29 @@ def count_polygonalizations(
         raise ValueError(f"point set size {n} exceeds guard {limit}")
     if n < 3:
         raise ValueError("need at least 3 points")
-    tab = _tables_for(ps)
+    ix = _index_for(ps.points)
     seconds = list(range(1, n))
-    if jobs > 1:
-        with ProcessPoolExecutor(
-            max_workers=jobs,
-            initializer=_init_worker,
-            initargs=(tuple((p.x, p.y) for p in ps.points),),
-        ) as pool:
-            total = sum(pool.map(_polygon_count_task, seconds))
+    workers = _worker_count(jobs, len(seconds))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            total = sum(pool.map(_polygon_count_task, repeat(ix.pts), seconds))
     else:
-        global _WORK_TAB
-        saved = _WORK_TAB
-        _WORK_TAB = tab
-        try:
-            total = sum(_polygon_count_task(v) for v in seconds)
-        finally:
-            _WORK_TAB = saved
+        total = sum(_count_polygons_from(ix, v) for v in seconds)
     if cap is not None and total > cap:
         raise RuntimeError(f"more than cap={cap} polygonalizations")
     return total
 
 
-def _polygon_count_task(second: int) -> int:
-    tab = _WORK_TAB
-    assert tab is not None
-    n = tab.n
-    eid = tab.eid
-    cross = tab.cross
+def _polygon_count_task(points: tuple[Point, ...], second: int) -> int:
+    return _count_polygons_from(_index_for(points), second)
+
+
+def _count_polygons_from(ix: _Index, second: int) -> int:
+    """Polygonalizations whose path leaves point 0 towards `second`."""
+    n = ix.n
+    eid = ix.eid
+    cross = ix.cross
     count = 0
-    path = [0, second]
     used = (1 << 0) | (1 << second)
     edge_mask = 1 << eid[_norm_edge(0, second)]
 
@@ -645,13 +662,12 @@ def forced_hamiltonian_cycle(ps: PointSet) -> frozenset[Edge]:
 
 def forced_edges_always_present(ps: PointSet, max_n: int | None = None) -> bool:
     """Exhaustively check forced_cycle against every triangulation of ps."""
-    tab = _tables_for(ps)
+    cycle = forced_cycle(ps)
+    ix = _guarded_index(ps, max_n)
     need = 0
-    for e in forced_cycle(ps):
-        need |= 1 << tab.eid[e]
-    return all(
-        mask & need == need for mask in _enumerate_masks(ps, max_n=max_n)
-    )
+    for e in cycle:
+        need |= 1 << ix.eid[e]
+    return all(mask & need == need for mask in _enumerate_masks(ix))
 
 
 # -- layered assembly count ---------------------------------------------------

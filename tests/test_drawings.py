@@ -1,4 +1,5 @@
 import itertools
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +31,7 @@ from redraw.drawings import (
     render_svg,
     to_comb,
 )
+import redraw.drawings as drawings
 from redraw.pointsets import PointSet, gen_double_chain, gen_nested_triangles
 
 K4_SET = PointSet(((0, 0), (40, 0), (20, 30), (20, 12)))
@@ -85,10 +87,54 @@ def test_enumeration_is_deterministic(pentagon):
     assert len(set(a)) == 5
 
 
-def test_parallel_enumeration_agrees(pentagon):
-    seq = [g.edges for g in enumerate_geometric_triangulations(pentagon)]
-    par = [g.edges for g in enumerate_geometric_triangulations(pentagon, jobs=2)]
-    assert seq == par
+def test_parallel_enumeration_agrees(monkeypatch):
+    # No other test uses this convex 9-gon, so the jobs=2 run starts from a
+    # cold index, and its 429 triangulations outgrow the serial frontier.
+    # The translated copy has the same labels but an index of its own.
+    nonagon = PointSet(tuple((i, i * i + 3) for i in range(9)))
+    shifted = PointSet(tuple((x + 1, y) for x, y in nonagon.points))
+    mapped = []
+
+    class Spy(ProcessPoolExecutor):
+        def map(self, fn, *iterables, **kwargs):
+            mapped.append(fn.__name__)
+            return super().map(fn, *iterables, **kwargs)
+
+    monkeypatch.setattr(drawings, "ProcessPoolExecutor", Spy)
+    monkeypatch.setattr(drawings.os, "cpu_count", lambda: 2)
+    par = [g.edges for g in enumerate_geometric_triangulations(nonagon, jobs=2)]
+    seq = [g.edges for g in enumerate_geometric_triangulations(shifted)]
+    assert mapped
+    assert par == seq and len(par) == 429
+
+
+def test_jobs_start_at_most_one_worker_per_core_and_task(monkeypatch):
+    started = []
+
+    class InProcess:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+        def shutdown(self):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.shutdown()
+
+    monkeypatch.setattr(drawings, "ProcessPoolExecutor", InProcess)
+    monkeypatch.setattr(drawings.os, "cpu_count", lambda: 4)
+    heptagon = PointSet(tuple((i, i * i + 5) for i in range(7)))  # cold index
+    assert count_geometric_triangulations(heptagon, jobs=100_000) == 42
+    assert count_polygonalizations(gen_double_chain(4, 4), jobs=100_000) == 162
+    assert count_polygonalizations(PointSet(SQUARE), jobs=100_000) == 1
+    assert count_polygonalizations(PointSet(SQUARE), jobs=1) == 1
+    assert started == [4, 4, 3]
 
 
 def test_enumeration_guard_and_override():
