@@ -39,7 +39,7 @@ from .comb import (
     canonical_code,
     from_straight_line_drawing,
 )
-from .geometry import Orientation, Point, convex_hull, orient, segments_cross
+from .geometry import Point, convex_hull, segments_cross
 from .pointsets import DoubleChain, PointSet
 
 # Default ceilings for the exhaustive searches.  Callers can raise them
@@ -94,7 +94,13 @@ def to_comb(gt: GeomTriangulation) -> CombTriangulation:
 class _Index:
     """Per point set tables.  Edge ids index the lexicographic pair list;
     a triangulation is a bitmask over edge ids.  `masks` holds every
-    triangulation of the set, sorted, once the enumeration has run."""
+    triangulation of the set, sorted, once the enumeration has run.
+
+    Every geometric table derives from one orientation table, built once:
+    `left[a][b]` is the bitmask of the points strictly left of the directed
+    line a->b.  `PointSet` guarantees general position, so every other
+    point lies strictly on one side and two segments without a common
+    endpoint cross iff each separates the endpoints of the other."""
 
     def __init__(self, pts: tuple[Point, ...]):
         self.pts = pts
@@ -102,48 +108,58 @@ class _Index:
         n = self.n = len(pts)
         self.pairs: list[Edge] = list(combinations(range(n), 2))
         m = self.m_all = len(self.pairs)
-        eid = self.eid = {e: i for i, e in enumerate(self.pairs)}
+        eidm = self.eidm = [[-1] * n for _ in range(n)]
+        for i, (a, b) in enumerate(self.pairs):
+            eidm[a][b] = eidm[b][a] = i
         self.hull: list[int] = convex_hull(pts)
         self.hull_mask = 0
         for a, b in zip(self.hull, self.hull[1:] + self.hull[:1]):
-            self.hull_mask |= 1 << eid[_norm_edge(a, b)]
+            self.hull_mask |= 1 << eidm[a][b]
+        everyone = (1 << n) - 1
+        left = [[0] * n for _ in range(n)]
+        for a, b in self.pairs:
+            ax, ay = pts[a]
+            dx, dy = pts[b][0] - ax, pts[b][1] - ay
+            mask = 0
+            for c, (cx, cy) in enumerate(pts):
+                if dx * (cy - ay) - dy * (cx - ax) > 0:
+                    mask |= 1 << c
+            left[a][b] = mask
+            left[b][a] = everyone ^ mask ^ (1 << a) ^ (1 << b)
         # pairwise proper crossings
-        cross = [0] * m
-        for i in range(m):
-            a, b = self.pairs[i]
-            pa, pb = pts[a], pts[b]
+        cross = self.cross = [0] * m
+        for i, (a, b) in enumerate(self.pairs):
+            lab = left[a][b]
             for j in range(i + 1, m):
                 c, d = self.pairs[j]
-                if segments_cross(pa, pb, pts[c], pts[d]):
+                if c == a or c == b or d == a or d == b:
+                    continue
+                lcd = left[c][d]
+                if (lab >> c ^ lab >> d) & (lcd >> a ^ lcd >> b) & 1:
                     cross[i] |= 1 << j
                     cross[j] |= 1 << i
-        self.cross = cross
-        # empty triangles, and per edge the candidate face apexes by side
-        empty: dict[tuple[int, int, int], bool] = {}
-        for tri in combinations(range(n), 3):
-            a, b, c = tri
-            empty[tri] = not any(
-                _strictly_inside(pts[p], pts[a], pts[b], pts[c])
-                for p in range(n)
-                if p not in tri
-            )
+        # empty[a][b]: apexes c of the empty counterclockwise triangles abc
+        empty = self.empty = [[0] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(n):
+                lab = left[a][b]
+                for c in range(n):
+                    if lab >> c & 1 and lab & left[b][c] & left[c][a] == 0:
+                        empty[a][b] |= 1 << c
+        # per edge the candidate face apexes by side
         self.apexes: list[list[tuple[int, int, bool]]] = [[] for _ in range(m)]
         for i, (a, b) in enumerate(self.pairs):
+            on_left, on_right = empty[a][b], empty[b][a]
             for c in range(n):
-                if c == a or c == b:
-                    continue
-                tri = tuple(sorted((a, b, c)))
-                if not empty[tri]:
-                    continue
-                left = orient(pts[a], pts[b], pts[c]) is Orientation.CCW
-                bits = (1 << eid[_norm_edge(a, c)]) | (1 << eid[_norm_edge(b, c)])
-                self.apexes[i].append((c, bits, left))
+                if (on_left | on_right) >> c & 1:
+                    bits = (1 << eidm[a][c]) | (1 << eidm[b][c])
+                    self.apexes[i].append((c, bits, bool(on_left >> c & 1)))
         # angular neighbor orders, with per neighbor edge bit for filtering
         self.angular: list[list[tuple[int, int]]] = []
         for v in range(n):
             others = [w for w in range(n) if w != v]
             order = _ccw_neighbor_order(pts[v], others, pts)
-            self.angular.append([(w, 1 << eid[_norm_edge(v, w)]) for w in order])
+            self.angular.append([(w, 1 << eidm[v][w]) for w in order])
         self.incident = [0] * n
         for i, (a, b) in enumerate(self.pairs):
             self.incident[a] |= 1 << i
@@ -152,19 +168,12 @@ class _Index:
     def crossing(self, edges: list[Edge]) -> bool:
         """Do any two of the edges cross?"""
         drawn = 0
-        for e in edges:
-            i = self.eid[e]
+        for a, b in edges:
+            i = self.eidm[a][b]
             if self.cross[i] & drawn:
                 return True
             drawn |= 1 << i
         return False
-
-
-def _strictly_inside(p: Point, a: Point, b: Point, c: Point) -> bool:
-    s1 = orient(a, b, p)
-    s2 = orient(b, c, p)
-    s3 = orient(c, a, p)
-    return s1 is s2 is s3 and s1 is not Orientation.COLLINEAR
 
 
 _INDEXES: dict[tuple[Point, ...], _Index] = {}
@@ -231,7 +240,7 @@ def _flip_neighbors(mask: int, ix: _Index) -> list[int]:
                 else:
                     cr = c
         if cl >= 0 and cr >= 0:
-            j = ix.eid[_norm_edge(cl, cr)]
+            j = ix.eidm[cl][cr]
             if cross[j] >> i & 1:  # convex quadrilateral, diagonals swap
                 out.append((mask ^ low) | (1 << j))
     return out
@@ -429,15 +438,20 @@ def apply_drawing(
 
 def _direct_search(t: CombTriangulation, ix: _Index) -> tuple[int, set[int]]:
     """Backtracking over assignments; returns (mapping count, image masks).
-    Boundary is pinned to the hull, as checked by `_check_compatible`; the
-    interior is searched with crossing and face orientation pruning, every
-    leaf verified against t's rotation system."""
+    Boundary is pinned to the hull, as checked by `_check_compatible`; each
+    interior vertex is tried only on the free points that complete every
+    face closed at its step to an empty counterclockwise triangle, and whose
+    new edges cross nothing drawn.  Every leaf is verified against t's
+    rotation system."""
     pts = ix.pts
     hull = ix.hull
+    eidm = ix.eidm
+    cross = ix.cross
+    empty = ix.empty
     n = t.num_vertices
+    everyone = (1 << n) - 1
     asg = [-1] * n
     used = 0
-    placed_edges = 0  # eid bitmask of already drawn image edges
     for i, v in enumerate(t.outer_face):
         asg[v] = hull[i]
         used |= 1 << hull[i]
@@ -451,25 +465,33 @@ def _direct_search(t: CombTriangulation, ix: _Index) -> tuple[int, set[int]]:
         )
         order.append(best)
         placed.add(best)
-    # per step: neighbors already placed, faces completed at that step
+    # per step: neighbors already placed, and for every face (a, b, v)
+    # completed at that step the pair (a, b)
     placed = set(t.outer_face)
     step_nbrs: list[list[int]] = []
-    step_faces: list[list[tuple[int, int, int]]] = []
+    step_sides: list[list[tuple[int, int]]] = []
     faces = t.faces()
     for v in order:
         step_nbrs.append([u for u in t.rotations[v] if u in placed])
         placed.add(v)
-        step_faces.append(
-            [f for f in faces if v in f and all(u in placed for u in f)]
-        )
-    for i, v in enumerate(t.outer_face):
-        nxt = t.outer_face[(i + 1) % len(t.outer_face)]
-        placed_edges |= 1 << ix.eid[_norm_edge(hull[i], asg[nxt])]
+        sides = []
+        for f in faces:
+            if v in f and all(u in placed for u in f):
+                i = f.index(v)
+                sides.append((f[(i + 1) % 3], f[(i + 2) % 3]))
+        step_sides.append(sides)
+    # every image edge between two outer face vertices, chords included
+    outer = set(t.outer_face)
+    placed_edges = 0  # edge id bitmask of the image edges drawn so far
+    for u in t.outer_face:
+        for w in t.rotations[u]:
+            if w in outer:
+                placed_edges |= 1 << eidm[asg[u]][asg[w]]
     image_masks: set[int] = set()
     count = 0
 
-    def place(step: int, placed_edges: int) -> None:
-        nonlocal count, used
+    def place(step: int, used: int, placed_edges: int) -> None:
+        nonlocal count
         if step == len(order):
             m = DrawingMapping(tuple(asg))
             if _draws(t, pts, hull, m, ix.crossing):  # rotation level verification
@@ -478,35 +500,26 @@ def _direct_search(t: CombTriangulation, ix: _Index) -> tuple[int, set[int]]:
             return
         v = order[step]
         nbrs = step_nbrs[step]
-        for p in range(n):
-            bit = 1 << p
-            if used & bit:
-                continue
+        cand = everyone ^ used
+        for a, b in step_sides[step]:
+            cand &= empty[asg[a]][asg[b]]
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            p = low.bit_length() - 1
+            row = eidm[p]
             add = 0
-            ok = True
             for u in nbrs:
-                e = ix.eid[_norm_edge(p, asg[u])]
-                if ix.cross[e] & (placed_edges | add):
-                    ok = False
+                e = row[asg[u]]
+                if cross[e] & placed_edges:  # edges at p cannot cross each other
                     break
                 add |= 1 << e
-            if not ok:
-                continue
-            asg[v] = p
-            for fa, fb, fc in step_faces[step]:
-                if orient(pts[asg[fa]], pts[asg[fb]], pts[asg[fc]]) is not Orientation.CCW:
-                    ok = False
-                    break
-            if ok:
-                used |= bit
-                place(step + 1, placed_edges | add)
-                used &= ~bit
-            asg[v] = -1
-        return
+            else:
+                asg[v] = p
+                place(step + 1, used | low, placed_edges | add)
+        asg[v] = -1
 
-    # hull edges must themselves not cross anything later; they cannot,
-    # they are on the hull.  Interior search starts immediately.
-    place(0, placed_edges)
+    place(0, used, placed_edges)
     return count, image_masks
 
 
@@ -596,17 +609,17 @@ def _polygon_count_task(points: tuple[Point, ...], second: int) -> int:
 def _count_polygons_from(ix: _Index, second: int) -> int:
     """Polygonalizations whose path leaves point 0 towards `second`."""
     n = ix.n
-    eid = ix.eid
+    eidm = ix.eidm
     cross = ix.cross
     count = 0
     used = (1 << 0) | (1 << second)
-    edge_mask = 1 << eid[_norm_edge(0, second)]
+    edge_mask = 1 << eidm[0][second]
 
     def extend(last: int, used: int, edge_mask: int, depth: int) -> None:
         nonlocal count
         if depth == n:
             if second < last:  # one direction per cycle
-                e = eid[_norm_edge(last, 0)]
+                e = eidm[last][0]
                 if cross[e] & edge_mask == 0:
                     count += 1
             return
@@ -614,7 +627,7 @@ def _count_polygons_from(ix: _Index, second: int) -> int:
             bit = 1 << p
             if used & bit:
                 continue
-            e = eid[_norm_edge(last, p)]
+            e = eidm[last][p]
             if cross[e] & edge_mask:
                 continue
             extend(p, used | bit, edge_mask | (1 << e), depth + 1)
@@ -665,8 +678,8 @@ def forced_edges_always_present(ps: PointSet, max_n: int | None = None) -> bool:
     cycle = forced_cycle(ps)
     ix = _guarded_index(ps, max_n)
     need = 0
-    for e in cycle:
-        need |= 1 << ix.eid[e]
+    for a, b in cycle:
+        need |= 1 << ix.eidm[a][b]
     return all(mask & need == need for mask in _enumerate_masks(ix))
 
 

@@ -1,0 +1,145 @@
+"""The direct backend against references that do not read the point-set
+index, and the index tables against the public predicates."""
+
+import random
+from itertools import combinations, permutations
+
+import pytest
+
+from conftest import PENTAGON, SQUARE
+from redraw.comb import build_k_nested_regular, from_edge_list
+from redraw.drawings import (
+    DrawingMapping,
+    GeomTriangulation,
+    _Index,
+    count_drawings,
+    count_mappings,
+    enumerate_geometric_triangulations,
+    is_valid_drawing,
+    to_comb,
+)
+from redraw.geometry import Orientation, general_position, orient, segments_cross
+from redraw.pointsets import PointSet, gen_double_chain, gen_nested_triangles
+
+
+def random_set(seed: int, size: int) -> PointSet:
+    rng = random.Random(seed)
+    while True:
+        pts = tuple((rng.randrange(64), rng.randrange(64)) for _ in range(size))
+        if general_position(pts):
+            return PointSet(pts)
+
+
+def brute_force_images(t, ps) -> list[frozenset]:
+    """Image edge sets of every assignment `is_valid_drawing` accepts, with
+    the outer face pinned to the hull and the interior points permuted in
+    every way."""
+    hull = ps.hull()
+    asg = [-1] * t.num_vertices
+    for i, v in enumerate(t.outer_face):
+        asg[v] = hull[i]
+    free_vertices = [v for v, p in enumerate(asg) if p < 0]
+    free_points = [p for p in range(len(ps)) if p not in hull]
+    images = []
+    for perm in permutations(free_points):
+        for v, p in zip(free_vertices, perm):
+            asg[v] = p
+        mapping = DrawingMapping(tuple(asg))
+        if is_valid_drawing(t, ps, mapping):
+            images.append(mapping.image_edges(t))
+    return images
+
+
+def assert_matches_brute_force(t, ps) -> int:
+    images = brute_force_images(t, ps)
+    assert count_mappings(t, ps) == len(images)
+    count, wits = count_drawings(t, ps, witnesses=True)
+    assert count == len(wits) == len(set(images))
+    assert {w.edges for w in wits} == set(images)
+    return count
+
+
+WHEEL = from_edge_list(
+    5,
+    [(0, 1), (0, 2), (1, 2), (1, 3), (0, 3), (1, 4), (2, 3), (2, 4), (3, 4)],
+    (1, 2, 0),
+)
+
+
+@pytest.mark.parametrize("seed,size", [(1, 7), (2, 7), (3, 8), (4, 8)])
+def test_direct_matches_brute_force_on_random_sets(seed, size):
+    ps = random_set(seed, size)
+    geoms = list(enumerate_geometric_triangulations(ps))
+    for g in geoms[:: max(1, len(geoms) // 6)]:
+        assert assert_matches_brute_force(to_comb(g), ps) >= 1
+    # the same structures on another set with the same hull size, where
+    # some of them have no drawing
+    other = next(
+        q for q in (random_set(s, size) for s in range(seed + 100, seed + 200))
+        if len(q.hull()) == len(ps.hull())
+    )
+    for g in geoms[:: max(1, len(geoms) // 6)]:
+        assert_matches_brute_force(to_comb(g), other)
+
+
+@pytest.mark.parametrize("n,drawings", [(6, 2), (9, 4)])
+def test_direct_matches_brute_force_on_bands(n, drawings):
+    t = build_k_nested_regular(n)
+    assert assert_matches_brute_force(t, gen_nested_triangles(n)) == drawings
+
+
+def test_direct_matches_brute_force_without_drawings(five_point_set):
+    assert assert_matches_brute_force(WHEEL, five_point_set) == 0
+
+
+def test_witnesses_include_outer_face_chords():
+    square = PointSet(SQUARE)
+    g = GeomTriangulation(square, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
+    count, wits = count_drawings(to_comb(g), square, witnesses=True)
+    assert count == 1 and wits == [g]
+    pentagon = PointSet(PENTAGON)
+    geoms = list(enumerate_geometric_triangulations(pentagon))
+    assert len(geoms) == 5
+    for g in geoms:
+        count, wits = count_drawings(to_comb(g), pentagon, witnesses=True)
+        assert count == 1 and wits == [g]
+
+
+def strictly_inside(p, a, b, c) -> bool:
+    s = {orient(a, b, p), orient(b, c, p), orient(c, a, p)}
+    return len(s) == 1 and Orientation.COLLINEAR not in s
+
+
+@pytest.mark.parametrize(
+    "ps",
+    [gen_double_chain(t, l) for t, l in [(3, 3), (2, 5), (5, 5), (6, 6), (7, 7)]]
+    + [gen_nested_triangles(n) for n in (12, 18)]
+    + [random_set(seed, size) for seed, size in [(5, 7), (6, 9), (7, 11)]],
+    ids=lambda ps: f"{len(ps)}pts",
+)
+def test_index_tables_match_the_public_predicates(ps):
+    ix = _Index(ps.points)
+    pts = ps.points
+    n = len(pts)
+    pairs = list(combinations(range(n), 2))
+    eid = {e: i for i, e in enumerate(pairs)}
+    for i, (a, b) in enumerate(pairs):
+        for j, (c, d) in enumerate(pairs):
+            if i != j:
+                assert ix.cross[i] >> j & 1 == segments_cross(pts[a], pts[b], pts[c], pts[d])
+    for i, (a, b) in enumerate(pairs):
+        apexes = [
+            (
+                c,
+                (1 << eid[min(a, c), max(a, c)]) | (1 << eid[min(b, c), max(b, c)]),
+                orient(pts[a], pts[b], pts[c]) is Orientation.CCW,
+            )
+            for c in range(n)
+            if c not in (a, b)
+            and not any(
+                strictly_inside(pts[p], pts[a], pts[b], pts[c])
+                for p in range(n)
+                if p not in (a, b, c)
+            )
+        ]
+        assert ix.apexes[i] == apexes

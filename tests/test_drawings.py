@@ -202,6 +202,9 @@ def test_band_structure_on_nested_layers():
     assert count_geometric_triangulations(gen_nested_triangles(6)) == 8
     assert count_drawings(build_k_nested_regular(9), gen_nested_triangles(9))[0] == 4
     assert count_geometric_triangulations(gen_nested_triangles(9)) == 729
+    for n in (12, 15, 18):
+        band = build_k_nested_regular(n)
+        assert count_drawings(band, gen_nested_triangles(n))[0] == 2 ** (n // 3 - 1)
 
 
 def test_double_chain_triangulation_totals():
@@ -216,6 +219,8 @@ def test_chain_pair_counts_on_double_chains():
     t1 = build_k_nested_double_chain(1)
     assert count_drawings(t1, gen_double_chain(6, 6))[0] == 3
     assert count_drawings(t1, gen_double_chain(8, 4))[0] == 1
+    t2 = build_k_nested_double_chain(2)
+    assert count_drawings(t2, gen_double_chain(10, 10))[0] == 19 == recursive_layer_count(2)
 
 
 def test_witnesses_realize_the_structure():
