@@ -29,6 +29,7 @@ from .drawings import (
     classify_drawings,
     classify_to_csv,
     count_drawings,
+    count_geometric_triangulations,
     count_polygonalizations,
     enumerate_geometric_triangulations,
     recursive_layer_count,
@@ -93,13 +94,12 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         else:
             _emit(args, str(len(ts)))
         return 0
-    gen = enumerate_geometric_triangulations(
-        _load_pointset(args), cap=args.cap, max_n=args.max_n, jobs=args.jobs
-    )
+    ps = _load_pointset(args)
     if args.stream:
+        gen = enumerate_geometric_triangulations(ps, args.cap, args.max_n, args.jobs)
         _emit(args, "".join(gt.to_json() + "\n" for gt in gen))
     else:
-        _emit(args, str(sum(1 for _ in gen)))
+        _emit(args, str(count_geometric_triangulations(ps, args.cap, args.max_n, args.jobs)))
     return 0
 
 

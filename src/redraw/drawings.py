@@ -9,9 +9,9 @@ to S's convex hull (outer_face[i] goes to hull[i], both counterclockwise).
 
 Two counting backends are kept deliberately independent so they can check
 each other.  The oracle backend enumerates every geometric triangulation
-of S by flip walks and compares canonical codes; the direct backend
-searches label assignments with geometric pruning and verifies each
-complete assignment against T's rotation system.
+of S exactly once, by a depth first search, and compares canonical codes;
+the direct backend searches label assignments with geometric pruning and
+verifies each complete assignment against T's rotation system.
 
 Exhaustive operations are guarded: they are meant for desk scale
 instances, and the guards are arguments, not constants baked into the
@@ -94,7 +94,7 @@ def to_comb(gt: GeomTriangulation) -> CombTriangulation:
 class _Index:
     """Per point set tables.  Edge ids index the lexicographic pair list;
     a triangulation is a bitmask over edge ids.  `masks` holds every
-    triangulation of the set, sorted, once the enumeration has run.
+    triangulation of the set, sorted, once `_enumerate_masks` has run.
 
     Every geometric table derives from one orientation table, built once:
     `left[a][b]` is the bitmask of the points strictly left of the directed
@@ -146,14 +146,6 @@ class _Index:
                 for c in range(n):
                     if lab >> c & 1 and lab & left[b][c] & left[c][a] == 0:
                         empty[a][b] |= 1 << c
-        # per edge the candidate face apexes by side
-        self.apexes: list[list[tuple[int, int, bool]]] = [[] for _ in range(m)]
-        for i, (a, b) in enumerate(self.pairs):
-            on_left, on_right = empty[a][b], empty[b][a]
-            for c in range(n):
-                if (on_left | on_right) >> c & 1:
-                    bits = (1 << eidm[a][c]) | (1 << eidm[b][c])
-                    self.apexes[i].append((c, bits, bool(on_left >> c & 1)))
         # angular neighbor orders, with per neighbor edge bit for filtering
         self.angular: list[list[tuple[int, int]]] = []
         for v in range(n):
@@ -188,23 +180,10 @@ def _index_for(points: tuple[Point, ...]) -> _Index:
     return ix
 
 
-def _worker_count(jobs: int, tasks: int | None = None) -> int:
+def _worker_count(jobs: int, tasks: int) -> int:
     # ProcessPoolExecutor forks all max_workers processes at the first
     # submit, so more than the cores (or the tasks) only costs forks.
-    workers = min(jobs, os.cpu_count() or 1)
-    if tasks is not None:
-        workers = min(workers, tasks)
-    return max(workers, 1)
-
-
-def _seed_mask(ix: _Index) -> int:
-    # greedy lexicographic plane graph completion; maximality makes it a
-    # triangulation
-    mask = 0
-    for i in range(ix.m_all):
-        if ix.cross[i] & mask == 0:
-            mask |= 1 << i
-    return mask
+    return max(min(jobs, os.cpu_count() or 1, tasks), 1)
 
 
 def _mask_rotations(mask: int, ix: _Index) -> tuple[tuple[int, ...], ...]:
@@ -221,39 +200,6 @@ def _mask_edges(mask: int, ix: _Index) -> frozenset[Edge]:
     return frozenset(ix.pairs[i] for i in range(ix.m_all) if mask >> i & 1)
 
 
-def _flip_neighbors(mask: int, ix: _Index) -> list[int]:
-    out = []
-    flippable = mask & ~ix.hull_mask
-    apexes = ix.apexes
-    cross = ix.cross
-    i = 0
-    rem = flippable
-    while rem:
-        low = rem & -rem
-        i = low.bit_length() - 1
-        rem ^= low
-        cl = cr = -1
-        for c, bits, left in apexes[i]:
-            if mask & bits == bits:
-                if left:
-                    cl = c
-                else:
-                    cr = c
-        if cl >= 0 and cr >= 0:
-            j = ix.eidm[cl][cr]
-            if cross[j] >> i & 1:  # convex quadrilateral, diagonals swap
-                out.append((mask ^ low) | (1 << j))
-    return out
-
-
-def _expand_chunk(points: tuple[Point, ...], masks: list[int]) -> list[int]:
-    ix = _index_for(points)
-    out: list[int] = []
-    for m in masks:
-        out.extend(_flip_neighbors(m, ix))
-    return out
-
-
 def _guarded_index(ps: PointSet, max_n: int | None) -> _Index:
     """The index of ps, once ps has passed the enumeration guard."""
     limit = ENUM_POINT_GUARD if max_n is None else max_n
@@ -263,48 +209,99 @@ def _guarded_index(ps: PointSet, max_n: int | None) -> _Index:
 
 
 def _enumerate_masks(ix: _Index, cap: int | None = None, jobs: int = 1) -> list[int]:
-    """All triangulation bitmasks of the indexed set, by breadth first flip
-    walks.
+    """All triangulation bitmasks of the indexed set, sorted, each found
+    once.
 
-    Diagonal flips connect the triangulations of any point set in general
-    position, so the walk from one seed reaches everything.  Results are
-    kept on the index and returned sorted.
+    A depth first search over partial triangulations.  A state is a pair
+    (open, mask): `mask` holds the edges drawn so far, and `open` the
+    directed edges a->b, as bits a*n+b, whose left side is still
+    unclaimed.  The root has the hull edges, counterclockwise, open.  A
+    step closes the lowest open edge with one of its empty
+    counterclockwise triangles (`_steps`).  The open edges are the
+    boundary of the unclaimed region, so at a state with none the
+    triangles cover the hull once: a triangulation.  The triangle on the
+    left of an edge is determined by the triangulation, so each one has
+    exactly one derivation, and the search keeps no record of what it
+    has seen.  With jobs > 1 the states two steps below the root are
+    searched by worker processes.  Results are kept on the index.
     """
-    if ix.masks is not None:
-        if cap is not None and len(ix.masks) > cap:
-            raise RuntimeError(f"more than cap={cap} triangulations")
-        return ix.masks
-    seed = _seed_mask(ix)
-    seen = {seed}
-    frontier = [seed]
-    workers = _worker_count(jobs)
-    pool = None
-    try:
+    if ix.masks is None:
+        sides = zip(ix.hull, ix.hull[1:] + ix.hull[:1])
+        states = [(sum(1 << (a * ix.n + b) for a, b in sides), ix.hull_mask)]
+        if jobs > 1:
+            for _ in range(2):
+                states = [s for o, m in states for s in (_steps(ix, o, m) if o else [(o, m)])]
+        workers = _worker_count(jobs, len(states))
         if workers > 1:
-            pool = ProcessPoolExecutor(max_workers=workers)
-        while frontier:
-            if pool is not None and len(frontier) > 4 * workers:
-                chunk = (len(frontier) + workers - 1) // workers
-                chunks = [frontier[i : i + chunk] for i in range(0, len(frontier), chunk)]
-                produced: list[int] = []
-                for part in pool.map(_expand_chunk, repeat(ix.pts), chunks):
-                    produced.extend(part)
-            else:
-                produced = []
-                for m in frontier:
-                    produced.extend(_flip_neighbors(m, ix))
-            frontier = []
-            for m in produced:
-                if m not in seen:
-                    seen.add(m)
-                    frontier.append(m)
-            if cap is not None and len(seen) > cap:
-                raise RuntimeError(f"more than cap={cap} triangulations")
-    finally:
-        if pool is not None:
-            pool.shutdown()
-    ix.masks = sorted(seen)
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                parts = list(pool.map(_triangulations_task, repeat(ix.pts), states, repeat(cap)))
+        else:
+            parts = [_triangulations_below(ix, o, m, [], cap) for o, m in states]
+        ix.masks = sorted(m for part in parts for m in part)
+    if cap is not None and len(ix.masks) > cap:
+        raise RuntimeError(f"more than cap={cap} triangulations")
     return ix.masks
+
+
+def _steps(ix: _Index, opened: int, mask: int) -> list[tuple[int, int]]:
+    """The states one step below (opened, mask), which has an open edge.
+
+    The lowest open edge a->b is closed by each apex c of an empty
+    counterclockwise triangle abc.  Of the sides b->c and c->a, one that
+    is open gets closed; one that is drawn but not open has its left side
+    claimed, so c is rejected; a new one must cross nothing drawn, and
+    its reverse is opened."""
+    n = ix.n
+    cross = ix.cross
+    low = opened & -opened
+    opened ^= low
+    a, b = divmod(low.bit_length() - 1, n)
+    row_a, row_b = ix.eidm[a], ix.eidm[b]
+    out = []
+    apexes = ix.empty[a][b]
+    while apexes:
+        bit = apexes & -apexes
+        apexes ^= bit
+        c = bit.bit_length() - 1
+        o, m = opened, mask
+        side = 1 << (b * n + c)
+        if not o & side:
+            e = row_b[c]
+            if m >> e & 1 or cross[e] & m:
+                continue
+            m |= 1 << e
+            side = 1 << (c * n + b)
+        o ^= side  # close the side, or open the reverse of a new one
+        side = 1 << (c * n + a)
+        if not o & side:
+            e = row_a[c]
+            if m >> e & 1 or cross[e] & m:
+                continue
+            m |= 1 << e
+            side = 1 << (a * n + c)
+        o ^= side
+        out.append((o, m))
+    return out
+
+
+def _triangulations_below(
+    ix: _Index, opened: int, mask: int, found: list[int], cap: int | None
+) -> list[int]:
+    """`found`, with every triangulation below the state appended."""
+    if opened:
+        for o, m in _steps(ix, opened, mask):
+            _triangulations_below(ix, o, m, found, cap)
+    else:
+        found.append(mask)
+        if cap is not None and len(found) > cap:
+            raise RuntimeError(f"more than cap={cap} triangulations")
+    return found
+
+
+def _triangulations_task(
+    points: tuple[Point, ...], state: tuple[int, int], cap: int | None
+) -> list[int]:
+    return _triangulations_below(_index_for(points), *state, [], cap)
 
 
 def enumerate_geometric_triangulations(

@@ -1,8 +1,11 @@
 """Shared fixtures: small point sets with known hand-checked structure."""
 
+import random
+
 import pytest
 from hypothesis import HealthCheck, settings
 
+from redraw.geometry import general_position
 from redraw.pointsets import PointSet
 
 settings.register_profile(
@@ -65,6 +68,15 @@ AD_HOC_SETS = (
     ((16, 17), (34, 59), (35, 57), (15, 28), (41, 31), (41, 57), (29, 36), (57, 6), (12, 19)),
     ((11, 11), (45, 51), (44, 19), (24, 16), (39, 18), (49, 30), (29, 42), (29, 56), (56, 20)),
 )
+
+
+def random_set(seed: int, size: int) -> PointSet:
+    """A seeded random set of size points in general position."""
+    rng = random.Random(seed)
+    while True:
+        pts = tuple((rng.randrange(64), rng.randrange(64)) for _ in range(size))
+        if general_position(pts):
+            return PointSet(pts)
 
 
 @pytest.fixture

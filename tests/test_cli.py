@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,16 +12,25 @@ from redraw.comb import build_k_nested_regular, from_rotation_json
 from redraw.pointsets import PointSet, gen_double_chain
 
 
-def run_cli(*args, env_extra=None):
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def checkout_env(extra=None):
+    """Environment for a subprocess that runs the checkout's package, as
+    the test process does."""
     env = os.environ.copy()
     env.pop("REDRAW_MAX_N", None)
-    if env_extra:
-        env.update(env_extra)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    env.update(extra or {})
+    return env
+
+
+def run_cli(*args, env_extra=None):
     return subprocess.run(
         [sys.executable, "-m", "redraw", *args],
         capture_output=True,
         text=True,
-        env=env,
+        env=checkout_env(env_extra),
     )
 
 
@@ -209,12 +219,12 @@ def test_backend_mismatch_exits_one(tmp_path, monkeypatch, capsys):
 def test_start_up_does_not_import_networkx():
     r = subprocess.run(
         [sys.executable, "-c", "import redraw, sys; print('networkx' in sys.modules)"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=checkout_env(),
     )
     assert r.returncode == 0 and r.stdout == "False\n"
     r = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "redraw", "--help"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=checkout_env(),
     )
     assert r.returncode == 0 and "usage: redraw" in r.stdout
     assert "networkx" not in r.stderr

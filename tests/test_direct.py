@@ -1,12 +1,11 @@
 """The direct backend against references that do not read the point-set
 index, and the index tables against the public predicates."""
 
-import random
 from itertools import combinations, permutations
 
 import pytest
 
-from conftest import PENTAGON, SQUARE
+from conftest import PENTAGON, SQUARE, random_set
 from redraw.comb import build_k_nested_regular, from_edge_list
 from redraw.drawings import (
     DrawingMapping,
@@ -18,16 +17,8 @@ from redraw.drawings import (
     is_valid_drawing,
     to_comb,
 )
-from redraw.geometry import Orientation, general_position, orient, segments_cross
+from redraw.geometry import Orientation, orient, segments_cross
 from redraw.pointsets import PointSet, gen_double_chain, gen_nested_triangles
-
-
-def random_set(seed: int, size: int) -> PointSet:
-    rng = random.Random(seed)
-    while True:
-        pts = tuple((rng.randrange(64), rng.randrange(64)) for _ in range(size))
-        if general_position(pts):
-            return PointSet(pts)
 
 
 def brute_force_images(t, ps) -> list[frozenset]:
@@ -122,24 +113,20 @@ def test_index_tables_match_the_public_predicates(ps):
     pts = ps.points
     n = len(pts)
     pairs = list(combinations(range(n), 2))
-    eid = {e: i for i, e in enumerate(pairs)}
     for i, (a, b) in enumerate(pairs):
         for j, (c, d) in enumerate(pairs):
             if i != j:
                 assert ix.cross[i] >> j & 1 == segments_cross(pts[a], pts[b], pts[c], pts[d])
-    for i, (a, b) in enumerate(pairs):
-        apexes = [
-            (
-                c,
-                (1 << eid[min(a, c), max(a, c)]) | (1 << eid[min(b, c), max(b, c)]),
-                orient(pts[a], pts[b], pts[c]) is Orientation.CCW,
-            )
-            for c in range(n)
-            if c not in (a, b)
-            and not any(
-                strictly_inside(pts[p], pts[a], pts[b], pts[c])
-                for p in range(n)
-                if p not in (a, b, c)
-            )
-        ]
-        assert ix.apexes[i] == apexes
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                empty_ccw = (
+                    len({a, b, c}) == 3
+                    and orient(pts[a], pts[b], pts[c]) is Orientation.CCW
+                    and not any(
+                        strictly_inside(pts[p], pts[a], pts[b], pts[c])
+                        for p in range(n)
+                        if p not in (a, b, c)
+                    )
+                )
+                assert ix.empty[a][b] >> c & 1 == empty_ccw

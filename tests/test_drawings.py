@@ -1,4 +1,5 @@
 import itertools
+import math
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -89,7 +90,7 @@ def test_enumeration_is_deterministic(pentagon):
 
 def test_parallel_enumeration_agrees(monkeypatch):
     # No other test uses this convex 9-gon, so the jobs=2 run starts from a
-    # cold index, and its 429 triangulations outgrow the serial frontier.
+    # cold index, and its 429 triangulations are split over the workers.
     # The translated copy has the same labels but an index of its own.
     nonagon = PointSet(tuple((i, i * i + 3) for i in range(9)))
     shifted = PointSet(tuple((x + 1, y) for x, y in nonagon.points))
@@ -356,6 +357,28 @@ def test_layer_recursion_growth_stays_under_quarter_power_of_three():
     bound = 3 ** 0.25 + 1e-9
     for k in (1, 2, 4, 8, 16, 32):
         assert recursive_layer_count(k) ** (1 / (8 * k)) <= bound
+
+
+def central_trinomial(m: int) -> int:
+    """Coefficient of x^m in (1 + x + x^2)^m: choose the 2j factors that
+    do not give x, then which j of them give x^2 (the others give 1)."""
+    return sum(math.comb(m, 2 * j) * math.comb(2 * j, j) for j in range(m // 2 + 1))
+
+
+def test_layer_recursion_is_the_central_trinomial_coefficient():
+    # the weights 1, 2, 3, 2, 1 of the layer sizes 2..6 are (1 + x + x^2)^2
+    assert [central_trinomial(m) for m in range(7)] == [1, 1, 3, 7, 19, 51, 141]
+    for k in range(1, 40):
+        assert recursive_layer_count(k) == central_trinomial(2 * k)
+
+
+def test_layer_recursion_rate_rises_towards_quarter_power_of_three():
+    # criterion 6 asks for a rate above 1.31 at k = 8..64; the closed form
+    # rises strictly towards 3^(1/4) = 1.31607 and passes 1.31 only at k = 90
+    rates = [central_trinomial(2 * k) ** (1 / (8 * k)) for k in range(1, 101)]
+    assert all(r < s for r, s in zip(rates, rates[1:]))
+    assert rates[-1] < 3 ** 0.25
+    assert next(k for k, r in enumerate(rates, 1) if r > 1.31) == 90
 
 
 def test_render_svg(k4_drawing):

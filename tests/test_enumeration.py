@@ -1,0 +1,99 @@
+"""Enumeration of geometric triangulations against a reference that reads
+no point-set index table: every maximal crossing-free set of segments,
+found with `segments_cross` alone."""
+
+from itertools import combinations
+
+import pytest
+
+from conftest import random_set
+import redraw.drawings as drawings
+from redraw.drawings import _enumerate_masks, _Index, enumerate_geometric_triangulations
+from redraw.geometry import segments_cross
+from redraw.pointsets import PointSet, gen_double_chain, gen_nested_triangles
+
+
+def maximal_plane_graphs(ps: PointSet) -> list[frozenset]:
+    """Every maximal crossing-free segment set on ps.  Segments that cross
+    nothing chosen are decided in lexicographic order, in or out; one left
+    out must be crossed by a segment chosen later, so each set is reached
+    once, along the sequence of its own decisions."""
+    pts = ps.points
+    pairs = list(combinations(range(len(pts)), 2))
+    crossers = {
+        (a, b): {(c, d) for c, d in pairs if segments_cross(pts[a], pts[b], pts[c], pts[d])}
+        for a, b in pairs
+    }
+    found = []
+
+    def walk(chosen: frozenset, left_out: frozenset) -> None:
+        free = [e for e in pairs if e not in chosen | left_out and not crossers[e] & chosen]
+        if any(not crossers[e] & (chosen | set(free)) for e in left_out):
+            return  # nothing can cross a segment left out any more
+        if not free:
+            found.append(chosen)
+            return
+        walk(chosen | {free[0]}, left_out)
+        walk(chosen, left_out | {free[0]})
+
+    walk(frozenset(), frozenset())
+    return found
+
+
+def convex(n: int) -> PointSet:
+    return PointSet(tuple((i, i * i) for i in range(n)))
+
+
+SETS = (
+    [convex(n) for n in range(4, 9)]
+    + [gen_double_chain(t, l) for t, l in [(2, 2), (2, 4), (3, 3), (3, 5), (4, 4), (4, 5), (2, 7)]]
+    + [gen_nested_triangles(n) for n in range(6, 10)]
+    + [random_set(seed, size) for seed, size in [(11, 7), (12, 8), (13, 8), (14, 9), (15, 9)]]
+)
+
+
+@pytest.mark.parametrize("ps", SETS, ids=lambda ps: f"{len(ps)}pts")
+def test_enumeration_matches_maximal_plane_graphs(ps):
+    reference = sorted(sorted(s) for s in maximal_plane_graphs(ps))
+    enumerated = sorted(sorted(g.edges) for g in enumerate_geometric_triangulations(ps))
+    assert enumerated == reference
+    # on an index of its own, so that the search runs here: each
+    # triangulation is found once, and the cap is exact
+    ix = _Index(ps.points)
+    count = len(reference)
+    with pytest.raises(RuntimeError, match=f"more than cap={count - 1} triangulations"):
+        _enumerate_masks(ix, cap=count - 1)
+    masks = _enumerate_masks(ix, cap=count)
+    assert len(masks) == len(set(masks)) == count
+    assert masks == sorted(masks)
+    with pytest.raises(RuntimeError, match=f"more than cap={count - 1} triangulations"):
+        _enumerate_masks(ix, cap=count - 1)  # from the stored masks
+
+
+def test_parallel_cap_is_exact():
+    octagon = convex(8)  # 132 triangulations
+    with pytest.raises(RuntimeError, match="more than cap=131 triangulations"):
+        _enumerate_masks(_Index(octagon.points), cap=131, jobs=2)  # caught by the total
+    with pytest.raises(RuntimeError, match="more than cap=5 triangulations"):
+        _enumerate_masks(_Index(octagon.points), cap=5, jobs=2)  # raised in a worker
+    assert len(_enumerate_masks(_Index(octagon.points), cap=132, jobs=2)) == 132
+
+
+@pytest.mark.parametrize(
+    "ps", [convex(10), gen_double_chain(5, 5), gen_nested_triangles(9)], ids=lambda ps: f"{len(ps)}pts"
+)
+def test_every_state_of_the_search_completes(monkeypatch, ps):
+    # A triangle that crosses nothing drawn leaves an unclaimed region that
+    # can still be triangulated, so the crossing test prunes exactly.
+    dead = []
+    steps = drawings._steps
+
+    def spy(ix, opened, mask):
+        below = steps(ix, opened, mask)
+        if not below:
+            dead.append((opened, mask))
+        return below
+
+    monkeypatch.setattr(drawings, "_steps", spy)
+    assert len(_enumerate_masks(_Index(ps.points))) > 0
+    assert not dead
