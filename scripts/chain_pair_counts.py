@@ -16,16 +16,11 @@ from redraw.pointsets import gen_double_chain
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--points", type=int, default=12,
-                    help="total point count, split over the two chains")
     ap.add_argument("--jobs", type=int, default=1)
     args = ap.parse_args()
 
-    m = args.points
     t1 = build_k_nested_double_chain(1)
-    if m != t1.num_vertices:
-        ap.error(f"the one-ring structure has {t1.num_vertices} vertices")
-
+    m = t1.num_vertices
     print(f"{'t,l':>6} {'direct':>8} {'oracle':>8} {'total':>8} {'secs':>7}")
     for t in range(m - 3, 2, -1):
         l = m - t

@@ -10,8 +10,9 @@ to S's convex hull (outer_face[i] goes to hull[i], both counterclockwise).
 Two counting backends are kept deliberately independent so they can check
 each other.  The oracle backend enumerates every geometric triangulation
 of S exactly once, by a depth first search, and compares canonical codes;
-the direct backend searches label assignments with geometric pruning and
-verifies each complete assignment against T's rotation system.
+the direct backend searches label assignments, placing each interior vertex
+only where every face it closes is an empty counterclockwise triangle, and
+takes each complete assignment as a drawing without re-checking it.
 
 Exhaustive operations are guarded: they are meant for desk scale
 instances, and the guards are arguments, not constants baked into the
@@ -27,7 +28,7 @@ from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations, repeat
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .comb import (
     CombTriangulation,
@@ -156,16 +157,6 @@ class _Index:
         for i, (a, b) in enumerate(self.pairs):
             self.incident[a] |= 1 << i
             self.incident[b] |= 1 << i
-
-    def crossing(self, edges: list[Edge]) -> bool:
-        """Do any two of the edges cross?"""
-        drawn = 0
-        for a, b in edges:
-            i = self.eidm[a][b]
-            if self.cross[i] & drawn:
-                return True
-            drawn |= 1 << i
-        return False
 
 
 _INDEXES: dict[tuple[Point, ...], _Index] = {}
@@ -380,26 +371,6 @@ def is_valid_drawing(
     """
     hull = _check_compatible(t, ps)
     pts = ps.points
-
-    def crossing(edges: list[Edge]) -> bool:
-        return any(
-            segments_cross(pts[a], pts[b], pts[c], pts[d])
-            for i, (a, b) in enumerate(edges)
-            for c, d in edges[i + 1 :]
-        )
-
-    return _draws(t, pts, hull, mapping, crossing)
-
-
-def _draws(
-    t: CombTriangulation,
-    pts: tuple[Point, ...],
-    hull: list[int],
-    mapping: DrawingMapping,
-    crossing: Callable[[list[Edge]], bool],
-) -> bool:
-    """The checks of `is_valid_drawing`, given the hull of pts and a test
-    whether any two of a list of edges cross."""
     asg = mapping.assignment
     n = t.num_vertices
     if sorted(asg) != list(range(n)):
@@ -409,7 +380,11 @@ def _draws(
     edges = sorted(mapping.image_edges(t))
     if len(edges) != t.edge_count:
         return False
-    if crossing(edges):
+    if any(
+        segments_cross(pts[a], pts[b], pts[c], pts[d])
+        for i, (a, b) in enumerate(edges)
+        for c, d in edges[i + 1 :]
+    ):
         return False
     inv = [0] * n
     for v, p in enumerate(asg):
@@ -433,17 +408,21 @@ def apply_drawing(
     return GeomTriangulation(ps, mapping.image_edges(t))
 
 
-def _direct_search(t: CombTriangulation, ix: _Index) -> tuple[int, set[int]]:
-    """Backtracking over assignments; returns (mapping count, image masks).
-    Boundary is pinned to the hull, as checked by `_check_compatible`; each
-    interior vertex is tried only on the free points that complete every
-    face closed at its step to an empty counterclockwise triangle, and whose
-    new edges cross nothing drawn.  Every leaf is verified against t's
-    rotation system."""
-    pts = ix.pts
+def _direct_search(t: CombTriangulation, ix: _Index) -> list[int]:
+    """Image edge masks of the assignments drawing t on the indexed set.
+
+    The outer face is pinned to the hull, whose size `_check_compatible`
+    has matched.  Each interior vertex, in a fixed order, is tried only on
+    the free points that map every face closed at its step to an empty
+    counterclockwise triangle.  That pruning is exact: a bijection that
+    pins the outer face counterclockwise onto the convex hull and sends
+    every internal face to a counterclockwise triangle is a straight line
+    drawing (Floater, Math. Comp. 2003), so a complete assignment needs no
+    crossing test or rotation check.  With the boundary pinned, an
+    automorphism of t that fixes a boundary dart is the identity, so
+    distinct assignments have distinct image masks."""
     hull = ix.hull
     eidm = ix.eidm
-    cross = ix.cross
     empty = ix.empty
     n = t.num_vertices
     everyone = (1 << n) - 1
@@ -452,24 +431,18 @@ def _direct_search(t: CombTriangulation, ix: _Index) -> tuple[int, set[int]]:
     for i, v in enumerate(t.outer_face):
         asg[v] = hull[i]
         used |= 1 << hull[i]
-    # deterministic placement order: most placed neighbors first
+    # deterministic placement order, most placed neighbors first, and per
+    # step the pair (a, b) of every face (a, b, v) completed there
     order: list[int] = []
+    step_sides: list[list[tuple[int, int]]] = []
     placed = set(t.outer_face)
+    faces = t.faces()
     while len(placed) < n:
-        best = min(
+        v = min(
             (v for v in range(n) if v not in placed),
             key=lambda v: (-sum(u in placed for u in t.rotations[v]), v),
         )
-        order.append(best)
-        placed.add(best)
-    # per step: neighbors already placed, and for every face (a, b, v)
-    # completed at that step the pair (a, b)
-    placed = set(t.outer_face)
-    step_nbrs: list[list[int]] = []
-    step_sides: list[list[tuple[int, int]]] = []
-    faces = t.faces()
-    for v in order:
-        step_nbrs.append([u for u in t.rotations[v] if u in placed])
+        order.append(v)
         placed.add(v)
         sides = []
         for f in faces:
@@ -477,54 +450,35 @@ def _direct_search(t: CombTriangulation, ix: _Index) -> tuple[int, set[int]]:
                 i = f.index(v)
                 sides.append((f[(i + 1) % 3], f[(i + 2) % 3]))
         step_sides.append(sides)
-    # every image edge between two outer face vertices, chords included
-    outer = set(t.outer_face)
-    placed_edges = 0  # edge id bitmask of the image edges drawn so far
-    for u in t.outer_face:
-        for w in t.rotations[u]:
-            if w in outer:
-                placed_edges |= 1 << eidm[asg[u]][asg[w]]
-    image_masks: set[int] = set()
-    count = 0
+    edges = t.edges()
+    images: list[int] = []
 
-    def place(step: int, used: int, placed_edges: int) -> None:
-        nonlocal count
+    def place(step: int, used: int) -> None:
         if step == len(order):
-            m = DrawingMapping(tuple(asg))
-            if _draws(t, pts, hull, m, ix.crossing):  # rotation level verification
-                count += 1
-                image_masks.add(placed_edges)
+            mask = 0
+            for u, w in edges:
+                mask |= 1 << eidm[asg[u]][asg[w]]
+            images.append(mask)
             return
         v = order[step]
-        nbrs = step_nbrs[step]
         cand = everyone ^ used
         for a, b in step_sides[step]:
             cand &= empty[asg[a]][asg[b]]
         while cand:
             low = cand & -cand
             cand ^= low
-            p = low.bit_length() - 1
-            row = eidm[p]
-            add = 0
-            for u in nbrs:
-                e = row[asg[u]]
-                if cross[e] & placed_edges:  # edges at p cannot cross each other
-                    break
-                add |= 1 << e
-            else:
-                asg[v] = p
-                place(step + 1, used | low, placed_edges | add)
+            asg[v] = low.bit_length() - 1
+            place(step + 1, used | low)
         asg[v] = -1
 
-    place(0, used, placed_edges)
-    return count, image_masks
+    place(0, used)
+    return images
 
 
 def count_mappings(t: CombTriangulation, ps: PointSet) -> int:
     """Number of label assignments drawing t on ps with the boundary pinned."""
     _check_compatible(t, ps)
-    count, _ = _direct_search(t, _index_for(ps.points))
-    return count
+    return len(_direct_search(t, _index_for(ps.points)))
 
 
 def count_drawings(
@@ -538,22 +492,23 @@ def count_drawings(
     """Number of geometric triangulations of ps whose combinatorial
     structure is t, boundary pinned (outer_face[i] on hull[i]).
 
-    backend "direct" searches assignments and deduplicates image edge
-    sets; backend "oracle" enumerates all triangulations of ps and
-    compares canonical codes.  The two share no counting logic.
+    backend "direct" searches label assignments, each of which is a
+    distinct drawing; backend "oracle" enumerates all triangulations of
+    ps, after the enumeration guard, and compares canonical codes.  The
+    two share no counting logic.
     """
     hull = _check_compatible(t, ps)
-    ix = _index_for(ps.points)
     wits: list[GeomTriangulation] | None = None
     if backend == "direct":
-        _, image_masks = _direct_search(t, ix)
-        found = sorted(image_masks)
+        ix = _index_for(ps.points)
+        found = sorted(_direct_search(t, ix))
     elif backend == "oracle":
+        ix = _guarded_index(ps, max_n)
         target = canonical_code(t)
         corner_deg = [t.degree(v) for v in t.outer_face]
         deg_ms = sorted(len(r) for r in t.rotations)
         found = []
-        for mask in _enumerate_masks(_guarded_index(ps, max_n), jobs=jobs):
+        for mask in _enumerate_masks(ix, jobs=jobs):
             degs = [(mask & ix.incident[v]).bit_count() for v in range(ix.n)]
             if [degs[p] for p in hull] != corner_deg:
                 continue

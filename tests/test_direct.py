@@ -43,6 +43,8 @@ def brute_force_images(t, ps) -> list[frozenset]:
 
 def assert_matches_brute_force(t, ps) -> int:
     images = brute_force_images(t, ps)
+    # with the boundary pinned, distinct assignments draw distinct edge sets
+    assert len(images) == len(set(images))
     assert count_mappings(t, ps) == len(images)
     count, wits = count_drawings(t, ps, witnesses=True)
     assert count == len(wits) == len(set(images))

@@ -148,6 +148,14 @@ def test_enumeration_guard_and_override():
     assert count_geometric_triangulations(para15, max_n=15) > 0
 
 
+def test_oracle_guard_comes_before_the_index(monkeypatch):
+    monkeypatch.setattr(drawings, "_INDEXES", {})
+    with pytest.raises(ValueError, match="guard 14"):
+        count_drawings(build_k_nested_double_chain(2), gen_double_chain(10, 10),
+                       backend="oracle")
+    assert drawings._INDEXES == {}
+
+
 def test_enumeration_cap(five_point_set):
     with pytest.raises(RuntimeError, match="cap"):
         list(enumerate_geometric_triangulations(gen_double_chain(3, 3), cap=3))
@@ -203,7 +211,7 @@ def test_band_structure_on_nested_layers():
     assert count_geometric_triangulations(gen_nested_triangles(6)) == 8
     assert count_drawings(build_k_nested_regular(9), gen_nested_triangles(9))[0] == 4
     assert count_geometric_triangulations(gen_nested_triangles(9)) == 729
-    for n in (12, 15, 18):
+    for n in range(12, 46, 3):
         band = build_k_nested_regular(n)
         assert count_drawings(band, gen_nested_triangles(n))[0] == 2 ** (n // 3 - 1)
 
@@ -220,20 +228,26 @@ def test_chain_pair_counts_on_double_chains():
     t1 = build_k_nested_double_chain(1)
     assert count_drawings(t1, gen_double_chain(6, 6))[0] == 3
     assert count_drawings(t1, gen_double_chain(8, 4))[0] == 1
-    t2 = build_k_nested_double_chain(2)
-    assert count_drawings(t2, gen_double_chain(10, 10))[0] == 19 == recursive_layer_count(2)
+    for k in range(2, 6):
+        tk = build_k_nested_double_chain(k)
+        ps = gen_double_chain(4 * k + 2, 4 * k + 2)
+        assert count_drawings(tk, ps)[0] == recursive_layer_count(k)
+    assert [recursive_layer_count(k) for k in range(2, 6)] == [19, 141, 1107, 8953]
 
 
 def test_witnesses_realize_the_structure():
-    t1 = build_k_nested_double_chain(1)
-    ps = gen_double_chain(6, 6)
-    cnt, wits = count_drawings(t1, ps, witnesses=True)
-    assert cnt == 3 and len(wits) == 3
-    target = canonical_code(t1)
-    for w in wits:
-        assert w.pointset == ps
-        assert canonical_code(to_comb(w)) == target
-    assert len({w.edges for w in wits}) == 3
+    for t, ps, drawn in [
+        (build_k_nested_double_chain(1), gen_double_chain(6, 6), 3),
+        (build_k_nested_double_chain(2), gen_double_chain(10, 10), 19),
+        (build_k_nested_regular(18), gen_nested_triangles(18), 32),
+    ]:
+        cnt, wits = count_drawings(t, ps, witnesses=True)
+        assert cnt == len(wits) == drawn
+        target = canonical_code(t)
+        for w in wits:
+            assert w.pointset == ps
+            assert canonical_code(to_comb(w)) == target
+        assert len({w.edges for w in wits}) == drawn
 
 
 def test_backends_agree_per_class_on_a_small_set():

@@ -38,3 +38,13 @@ def test_render_examples_script(tmp_path):
     ]
     assert all(p.read_text().startswith("<svg") for p in svgs)
     assert r.stdout == f"wrote 6 files to {out}/\n"
+
+
+def test_chain_pair_counts_script(tmp_path):
+    r = run_script("chain_pair_counts.py", cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    rows = [line.split() for line in r.stdout.splitlines()[1:]]
+    assert [row[0] for row in rows] == ["9,3", "8,4", "7,5", "6,6", "5,7", "4,8", "3,9"]
+    assert [int(row[1]) for row in rows] == [0, 1, 2, 3, 2, 1, 0]
+    assert all(row[1] == row[2] for row in rows)
+    assert "MISMATCH" not in r.stdout
