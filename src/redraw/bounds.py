@@ -8,9 +8,10 @@ range 2..6.  A distribution over that range, written alpha =
     2 ** ((a3 + a5 + a4*log2(3) + H(alpha)) / 8)
 
 drawings per vertex, where H is the base 2 entropy.  This module keeps
-the objective, its gradient, a deterministic maximizer over the simplex
-under optional linear side constraints, and an exact multinomial check
-that the entropy term is the right large-n stand-in for the counting.
+the objective, its gradient, its maximizer over the simplex under an
+optional linear side constraint, in closed form (a Gibbs distribution),
+and an exact multinomial check that the entropy term is the right
+large-n stand-in for the counting.
 """
 
 from __future__ import annotations
@@ -25,16 +26,16 @@ _LOG2_3 = math.log2(3.0)
 # per coordinate linear weight of the exponent, indexed like alpha
 _C = (0.0, 1.0, _LOG2_3, 1.0, 0.0)
 _INV_LN2 = 1.0 / math.log(2.0)
+# how far a probability vector's sum may stray from 1
+_SUM_TOL = 1e-9
 
 
-def entropy(probs: Sequence[float], tol: float = 1e-9) -> float:
+def entropy(probs: Sequence[float]) -> float:
     """Base 2 entropy of a probability vector; zero entries contribute 0."""
-    total = 0.0
-    for p in probs:
-        if p < 0:
-            raise ValueError("negative probability")
-        total += p
-    if abs(total - 1.0) > tol:
+    if any(p < 0 for p in probs):
+        raise ValueError("negative probability")
+    total = sum(probs)
+    if abs(total - 1.0) > _SUM_TOL:
         raise ValueError(f"probabilities sum to {total}, not 1")
     return -sum(p * math.log2(p) for p in probs if p > 0)
 
@@ -51,7 +52,7 @@ class AlphaVector:
             raise ValueError("alpha has 5 entries, one per degree 2..6")
         if any(a < 0 for a in self.alpha):
             raise ValueError("alpha entries must be nonnegative")
-        if abs(sum(self.alpha) - 1.0) > 1e-9:
+        if abs(sum(self.alpha) - 1.0) > _SUM_TOL:
             raise ValueError("alpha must sum to 1")
 
     def __iter__(self):
@@ -100,125 +101,46 @@ class ConstraintKind(Enum):
     FREE = "free"
 
 
-_CONSTRAINT_ROWS: dict[ConstraintKind, tuple[float, ...] | None] = {
+_CONSTRAINT_ROWS: dict[ConstraintKind, tuple[float, ...]] = {
     ConstraintKind.DEGREE_MASS: (2.0, 3.0, 0.0, -5.0, -6.0),
     ConstraintKind.MEAN_DEGREE: (2.0, 1.0, 0.0, -1.0, -2.0),
-    ConstraintKind.FREE: None,
+    ConstraintKind.FREE: (0.0,) * 5,
 }
-
-
-# -- tiny dense linear algebra, enough for 5 dimensional problems -----------
-
-
-def _solve(a: list[list[float]], b: list[float]) -> list[float]:
-    n = len(b)
-    m = [row[:] + [b[i]] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(m[r][col]))
-        if abs(m[piv][col]) < 1e-14:
-            raise ArithmeticError("singular system")
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1.0 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [m[i][n] for i in range(n)]
-
-
-def _null_basis(rows: list[tuple[float, ...]]) -> list[tuple[float, ...]]:
-    # orthonormalize the rows, then project the standard basis and keep
-    # the independent remainders
-    dim = len(rows[0])
-    ortho: list[list[float]] = []
-    for row in rows:
-        v = list(row)
-        for u in ortho:
-            d = sum(x * y for x, y in zip(v, u))
-            v = [x - d * y for x, y in zip(v, u)]
-        norm = math.sqrt(sum(x * x for x in v))
-        if norm > 1e-12:
-            ortho.append([x / norm for x in v])
-    basis: list[tuple[float, ...]] = []
-    kept: list[list[float]] = []
-    for i in range(dim):
-        v = [1.0 if j == i else 0.0 for j in range(dim)]
-        for u in ortho:
-            d = sum(x * y for x, y in zip(v, u))
-            v = [x - d * y for x, y in zip(v, u)]
-        for u in kept:
-            d = sum(x * y for x, y in zip(v, u))
-            v = [x - d * y for x, y in zip(v, u)]
-        norm = math.sqrt(sum(x * x for x in v))
-        if norm > 1e-9:
-            unit = [x / norm for x in v]
-            kept.append(unit)
-            basis.append(tuple(unit))
-    return basis
 
 
 def optimize_growth(
     constraint: ConstraintKind | None = ConstraintKind.FREE,
-    tolerance: float = 1e-12,
 ) -> tuple[AlphaVector, float]:
-    """Maximize growth_objective over the simplex, optionally constrained.
+    """Maximize growth_objective on the simplex with r . alpha = 0.
 
-    Damped Newton ascent in the affine feasible subspace.  The objective
-    is strictly concave there (linear term plus entropy), so the method
-    is deterministic and lands on the unique maximizer; tolerance bounds
-    the final projected gradient norm.
+    The exponent c . alpha + H(alpha) is linear plus entropy, so the
+    maximizer is the Gibbs distribution alpha_i ~ 2 ** (c_i - lam * r_i).
+    The sum r_i * 2 ** (c_i - lam * r_i) has derivative -ln 2 times the
+    positive sum r_i**2 * 2 ** (c_i - lam * r_i), so it strictly decreases
+    in lam for a nonzero row: widen a bracket by doubling, then bisect
+    until the midpoint is an endpoint.  FREE (a zero row, also for None)
+    and MEAN_DEGREE balance at lam = 0, which gives (1,2,3,2,1)/9.
     """
-    if constraint is None:
-        constraint = ConstraintKind.FREE
-    extra = _CONSTRAINT_ROWS[constraint]
-    rows: list[tuple[float, ...]] = [(1.0,) * 5]
-    rhs = [1.0]
-    if extra is not None:
-        rows.append(extra)
-        rhs.append(0.0)
-    # feasible interior start: least squares projection of the uniform point
-    k = len(rows)
-    alpha = [0.2] * 5
-    for _ in range(50):
-        resid = [sum(r[i] * alpha[i] for i in range(5)) - rhs[j] for j, r in enumerate(rows)]
-        gram = [[sum(ra[i] * rb[i] for i in range(5)) for rb in rows] for ra in rows]
-        lam = _solve(gram, resid)
-        alpha = [alpha[i] - sum(lam[j] * rows[j][i] for j in range(k)) for i in range(5)]
-        if min(alpha) > 1e-6:
-            break
-        alpha = [max(a, 1e-4) for a in alpha]
-    if min(alpha) <= 0:
-        raise ArithmeticError("no strictly positive feasible point found")
-    basis = _null_basis(rows)
-    for _ in range(500):
-        grad = exponent_rate_gradient(alpha)
-        g = [sum(b[i] * grad[i] for i in range(5)) for b in basis]
-        if max(abs(x) for x in g) < tolerance:
-            break
-        # reduced Hessian of exponent_rate: diag(-1 / (alpha ln 2))
-        h = [
-            [
-                sum(-bu[i] * bv[i] / (alpha[i] * math.log(2.0)) for i in range(5))
-                for bv in basis
-            ]
-            for bu in basis
-        ]
-        step = _solve(h, [-x for x in g])
-        delta = [sum(step[j] * basis[j][i] for j in range(len(basis))) for i in range(5)]
-        base_val = exponent_rate(alpha)
-        s = 1.0
-        while s > 1e-18:
-            cand = [a + s * d for a, d in zip(alpha, delta)]
-            if min(cand) > 0 and exponent_rate(cand) >= base_val:
-                alpha = cand
-                break
-            s *= 0.5
-        else:
-            break
-    total = sum(alpha)
-    alpha = [a / total for a in alpha]  # side rows are homogeneous, unaffected
-    vec = AlphaVector(tuple(alpha))
+    row = _CONSTRAINT_ROWS[constraint or ConstraintKind.FREE]
+
+    def weights(lam: float) -> list[float]:
+        return [2.0 ** (c - lam * r) for c, r in zip(_C, row)]
+
+    def excess(lam: float) -> float:
+        return sum(r * w for r, w in zip(row, weights(lam)))
+
+    lo, hi = -1.0, 1.0
+    while excess(lo) < 0:
+        lo *= 2.0
+    while excess(hi) > 0:
+        hi *= 2.0
+    lam = 0.0
+    while lo < lam < hi and (e := excess(lam)) != 0:
+        lo, hi = (lam, hi) if e > 0 else (lo, lam)
+        lam = (lo + hi) / 2.0
+    w = weights(lam)
+    total = sum(w)
+    vec = AlphaVector(tuple(x / total for x in w))
     return vec, growth_objective(vec)
 
 

@@ -4,7 +4,8 @@ Subcommands mirror the library: generators, family builders, counting,
 classification, polygonalizations, growth bounds, rendering.  All output
 is JSON (CSV for classification histograms, SVG for rendering) so runs
 can be chained and diffed.  Failures print a machine readable error
-object to stderr and exit nonzero.  The environment variable
+object to stderr as one JSON line and exit 1, or 2 for usage errors,
+argparse's own included.  The environment variable
 REDRAW_MAX_N overrides the guards on exhaustive searches.
 """
 
@@ -14,7 +15,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Callable, Sequence
+from typing import Callable, NoReturn, Sequence
 
 from .bounds import ConstraintKind, exponent_rate, optimize_growth
 from .comb import (
@@ -146,7 +147,7 @@ def _cmd_layer_count(args: argparse.Namespace) -> int:
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     kind = _CONSTRAINT_TOKENS[args.constraint]
-    vec, growth = optimize_growth(kind, tolerance=args.tolerance)
+    vec, growth = optimize_growth(kind)
     report = {
         "constraint": kind.value,
         "alpha": list(vec.alpha),
@@ -167,8 +168,16 @@ def _fail(kind: str, message: str) -> None:
     sys.stderr.write(json.dumps({"error": kind, "message": message}) + "\n")
 
 
-def _parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+class _Parser(argparse.ArgumentParser):
+    """Usage errors as one JSON line and exit 2; subparsers inherit it."""
+
+    def error(self, message: str) -> NoReturn:
+        _fail("UsageError", message)
+        raise SystemExit(2)
+
+
+def _parser() -> _Parser:
+    p = _Parser(
         prog="redraw",
         description="triangulation drawing counts, enumeration and bounds",
     )
@@ -242,7 +251,6 @@ def _parser() -> argparse.ArgumentParser:
         default="none",
         help="paper: degree weighted mass balance, balance: mean degree four, none: simplex only",
     )
-    sp.add_argument("--tolerance", type=float, default=1e-12)
     common(sp, _cmd_bounds)
 
     sp = sub.add_parser("render", help="render a geometric triangulation to SVG")
@@ -277,17 +285,16 @@ def _check_args(args: argparse.Namespace) -> str | None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    args = parser.parse_args(argv)
     env_max = os.environ.get("REDRAW_MAX_N")
     try:
         args.max_n = int(env_max) if env_max else None
     except ValueError:
-        _fail("UsageError", f"REDRAW_MAX_N must be an integer, got {env_max!r}")
-        return 2
+        parser.error(f"REDRAW_MAX_N must be an integer, got {env_max!r}")
     problem = _check_args(args)
     if problem:
-        _fail("UsageError", problem)
-        return 2
+        parser.error(problem)
     try:
         return args.func(args)
     except Exception as exc:  # surface everything as a structured error

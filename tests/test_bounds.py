@@ -87,6 +87,37 @@ def test_degree_mass_constrained_optimum():
     assert growth <= optimize_growth()[1]
 
 
+# the side rows as ConstraintKind documents them, written out independently
+SIDE_ROWS = {
+    ConstraintKind.DEGREE_MASS: (2, 3, 0, -5, -6),
+    ConstraintKind.MEAN_DEGREE: (2, 1, 0, -1, -2),
+    ConstraintKind.FREE: (0, 0, 0, 0, 0),
+}
+
+
+@pytest.mark.parametrize("kind", list(ConstraintKind))
+def test_optimum_satisfies_first_order_conditions(kind):
+    row = SIDE_ROWS[kind]
+    alpha, _ = optimize_growth(kind)
+    assert abs(sum(r * a for r, a in zip(row, alpha))) <= 1e-12
+    assert abs(sum(alpha) - 1.0) <= 1e-12
+    # least squares fit of the gradient as mu * 1 + lam * row: project it
+    # off an orthonormal basis of span{1, row}; a maximizer leaves nothing
+    basis = []
+    for v in ((1.0,) * 5, row):
+        for u in basis:
+            d = sum(x * y for x, y in zip(v, u))
+            v = [x - d * y for x, y in zip(v, u)]
+        norm = math.sqrt(sum(x * x for x in v))
+        if norm > 0:
+            basis.append([x / norm for x in v])
+    resid = list(exponent_rate_gradient(alpha))
+    for u in basis:
+        d = sum(x * y for x, y in zip(resid, u))
+        resid = [x - d * y for x, y in zip(resid, u)]
+    assert math.sqrt(sum(x * x for x in resid)) < 1e-9
+
+
 def test_optimizer_is_deterministic():
     assert optimize_growth(ConstraintKind.DEGREE_MASS) == optimize_growth(
         ConstraintKind.DEGREE_MASS

@@ -183,6 +183,20 @@ def test_usage_errors_exit_two():
     assert json.loads(r.stderr)["error"] == "UsageError"
     r = run_cli("count-drawings", "--t", "3")
     assert r.returncode == 2
+    # argparse's own errors take the same one-line JSON path
+    for args in (
+        ("classify",),
+        ("tutte", "abc"),
+        ("gen", "foo"),
+        ("bounds", "--constraint", "x"),
+        ("bounds", "--tolerance", "1e-9"),
+    ):
+        r = run_cli(*args)
+        assert r.returncode == 2, args
+        assert r.stdout == ""
+        lines = r.stderr.splitlines()
+        assert len(lines) == 1, args
+        assert json.loads(lines[0])["error"] == "UsageError"
 
 
 def test_non_integer_guard_env_is_a_usage_error():
