@@ -214,8 +214,9 @@ def _parser() -> _Parser:
     common(sp, _cmd_tutte)
 
     sp = sub.add_parser("enumerate", help="enumerate triangulations exhaustively")
-    sp.add_argument("--pointset", help="point set JSON file (geometric mode)")
-    sp.add_argument("--interior", type=int, help="interior vertex count (abstract mode)")
+    mode = sp.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--pointset", help="point set JSON file (geometric mode)")
+    mode.add_argument("--interior", type=int, help="interior vertex count (abstract mode)")
     sp.add_argument("--stream", action="store_true", help="print one JSON per line")
     common(sp, _cmd_enumerate, jobs=True, cap=True)
 
@@ -271,9 +272,6 @@ def _check_args(args: argparse.Namespace) -> str | None:
             return "build nested-double-chain needs --k"
         if args.family == "nested-regular" and args.n is None:
             return "build nested-regular needs --n"
-    if args.command == "enumerate":
-        if (args.pointset is None) == (args.interior is None):
-            return "enumerate needs exactly one of --pointset or --interior"
     if args.command == "count-drawings":
         shortcut = args.t is not None or args.l is not None
         files = args.triangulation is not None and args.pointset is not None

@@ -40,7 +40,7 @@ from .comb import (
     canonical_code,
     from_straight_line_drawing,
 )
-from .geometry import Point, convex_hull, segments_cross
+from .geometry import Point, convex_hull
 from .pointsets import DoubleChain, PointSet
 
 # Default ceilings for the exhaustive searches.  Callers can raise them
@@ -54,17 +54,30 @@ POLYGON_POINT_GUARD = 16
 
 @dataclass(frozen=True)
 class GeomTriangulation:
-    """Validated maximal crossing free straight line graph on a point set."""
+    """Maximal crossing free straight line graph on a point set, checked
+    against its index: 3n-3-h pairwise non crossing edges (on points in
+    general position, as `PointSet` guarantees) always triangulate."""
 
     pointset: PointSet
     edges: frozenset[Edge]
     triangles: tuple[tuple[int, int, int], ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "edges", frozenset(_norm_edge(int(a), int(b)) for a, b in self.edges)
-        )
-        comb = from_straight_line_drawing(self.pointset.points, sorted(self.edges))
+        ix = _index_for(self.pointset.points)
+        edges = frozenset(_norm_edge(int(a), int(b)) for a, b in self.edges)
+        if any(not 0 <= a < b < ix.n for a, b in edges):
+            raise ValueError("bad edge label")
+        expected = 3 * ix.n - 3 - len(ix.hull)
+        if len(edges) != expected:
+            raise ValueError(f"edge count {len(edges)}, expected {expected}")
+        mask = sum(1 << ix.eidm[a][b] for a, b in edges)
+        for a, b in sorted(edges):
+            crossed = ix.cross[ix.eidm[a][b]] & mask
+            if crossed:
+                other = ix.pairs[(crossed & -crossed).bit_length() - 1]
+                raise ValueError(f"edges {(a, b)} and {other} cross")
+        comb = CombTriangulation(ix.n, tuple(ix.hull), _mask_rotations(mask, ix))
+        object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "triangles", tuple(comb.faces()))
         object.__setattr__(self, "_comb", comb)
 
@@ -364,40 +377,29 @@ def is_valid_drawing(
 ) -> bool:
     """Does the assignment draw t on ps, boundary pinned, faces preserved?
 
-    Checks crossing freeness and that the image rotation system, pulled
-    back through the assignment, is exactly t's (same cyclic neighbor
-    orders, same outer face).  Pinning means assignment[outer_face[i]] is
-    hull[i].
+    The image must be a straight line triangulation whose rotation system,
+    pulled back through the assignment, is exactly t's (same cyclic
+    neighbor orders, same outer face); this reads no point set index.
+    Pinning means assignment[outer_face[i]] is hull[i].
     """
     hull = _check_compatible(t, ps)
-    pts = ps.points
     asg = mapping.assignment
     n = t.num_vertices
     if sorted(asg) != list(range(n)):
         return False
     if any(asg[v] != hull[i] for i, v in enumerate(t.outer_face)):
         return False
-    edges = sorted(mapping.image_edges(t))
-    if len(edges) != t.edge_count:
-        return False
-    if any(
-        segments_cross(pts[a], pts[b], pts[c], pts[d])
-        for i, (a, b) in enumerate(edges)
-        for c, d in edges[i + 1 :]
-    ):
+    try:
+        image = from_straight_line_drawing(ps.points, mapping.image_edges(t))
+    except ValueError:
         return False
     inv = [0] * n
     for v, p in enumerate(asg):
         inv[p] = v
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    for v in range(n):
-        img = _ccw_neighbor_order(pts[asg[v]], adj[asg[v]], pts)
-        if not _cyclic_eq([inv[p] for p in img], list(t.rotations[v])):
-            return False
-    return True
+    return all(
+        _cyclic_eq([inv[p] for p in image.rotations[asg[v]]], t.rotations[v])
+        for v in range(n)
+    )
 
 
 def apply_drawing(

@@ -9,6 +9,7 @@ import pytest
 
 from redraw import cli
 from redraw.comb import build_k_nested_regular, from_rotation_json
+from redraw.drawings import GeomTriangulation
 from redraw.pointsets import PointSet, gen_double_chain
 
 
@@ -92,6 +93,22 @@ def test_enumerate_pointset_file(tmp_path):
     f.write_text(gen_double_chain(3, 3).to_json())
     r = run_cli("enumerate", "--pointset", str(f))
     assert r.returncode == 0 and r.stdout == "6\n"
+
+
+def test_enumerate_pointset_stream(tmp_path):
+    f = tmp_path / "ps.json"
+    f.write_text(gen_double_chain(4, 4).to_json())
+    count = run_cli("enumerate", "--pointset", str(f))
+    s = run_cli("enumerate", "--pointset", str(f), "--stream")
+    assert count.returncode == 0 and s.returncode == 0
+    lines = s.stdout.splitlines()
+    assert len(lines) == int(count.stdout) == 80
+    par = run_cli("enumerate", "--pointset", str(f), "--stream", "--jobs", "2")
+    assert par.returncode == 0 and par.stdout == s.stdout
+    for line in lines:
+        g = GeomTriangulation.from_json(line)
+        assert g.pointset == gen_double_chain(4, 4)
+        assert g.to_json() == line
 
 
 def test_count_drawings_shortcut_rows():

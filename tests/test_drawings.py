@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import AD_HOC_SETS, NINE_EDGES_A, NINE_EDGES_B, SQUARE, TRIANGLE
+from conftest import AD_HOC_SETS, NINE_EDGES_A, NINE_EDGES_B, SQUARE, TRIANGLE, random_set
 from redraw.comb import (
     build_k_nested_double_chain,
     build_k_nested_regular,
     canonical_code,
     from_edge_list,
+    from_straight_line_drawing,
 )
 from redraw.drawings import (
     DrawingMapping,
@@ -33,6 +34,7 @@ from redraw.drawings import (
     to_comb,
 )
 import redraw.drawings as drawings
+from redraw.geometry import segments_cross
 from redraw.pointsets import PointSet, gen_double_chain, gen_nested_triangles
 
 K4_SET = PointSet(((0, 0), (40, 0), (20, 30), (20, 12)))
@@ -60,6 +62,53 @@ def test_construction_rejects_wrong_edge_count(pentagon):
     edges = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2)]
     with pytest.raises(ValueError, match="edge count"):
         GeomTriangulation(pentagon, edges)
+
+
+def _raised(build, pts, edges) -> str:
+    with pytest.raises(ValueError) as info:
+        build(pts, edges)
+    return str(info.value)
+
+
+def _perturbations(ps, edges):
+    """Edge sets that are not triangulations of ps: one edge dropped, one
+    interior edge swapped for a missing segment that crosses another edge,
+    and a bad label."""
+    pts = ps.points
+    drawn = sorted(edges)
+    hull = ps.hull()
+    hull_edges = {tuple(sorted(e)) for e in zip(hull, hull[1:] + hull[:1])}
+    yield drawn[1:]
+    for c, d in itertools.combinations(range(len(ps)), 2):
+        if (c, d) in edges:
+            continue
+        crossed = {(a, b) for a, b in drawn if segments_cross(pts[a], pts[b], pts[c], pts[d])}
+        spare = [e for e in drawn if e not in crossed and e not in hull_edges]
+        if spare:
+            yield sorted(edges - {spare[0]} | {(c, d)})
+            break
+    yield drawn[:-1] + [(drawn[-1][0], len(ps))]
+
+
+def test_indexed_construction_agrees_with_the_drawing_check():
+    # GeomTriangulation checks edges against the point set's index;
+    # from_straight_line_drawing reads no index.  They must agree on every
+    # triangulation, and reject the perturbations of every fourth one with
+    # the same message.
+    sets = [PointSet(tuple((i, i * i) for i in range(k))) for k in range(4, 9)]
+    sets += [gen_double_chain(t, l) for t in range(2, 6) for l in range(2, t + 1)]
+    sets += [gen_nested_triangles(n) for n in range(6, 10)]
+    sets += [random_set(seed, size) for size in (7, 8, 9) for seed in range(3)]
+    for ps in sets:
+        for i, g in enumerate(enumerate_geometric_triangulations(ps)):
+            ref = from_straight_line_drawing(ps.points, g.edges)
+            again = GeomTriangulation(ps, g.edges)
+            assert again.triangles == tuple(ref.faces())
+            assert to_comb(again) == ref
+            for edges in _perturbations(ps, g.edges) if i % 4 == 0 else ():
+                assert _raised(GeomTriangulation, ps, edges) == _raised(
+                    from_straight_line_drawing, ps.points, edges
+                )
 
 
 def test_json_round_trip(k4_drawing):
@@ -239,6 +288,7 @@ def test_witnesses_realize_the_structure():
     for t, ps, drawn in [
         (build_k_nested_double_chain(1), gen_double_chain(6, 6), 3),
         (build_k_nested_double_chain(2), gen_double_chain(10, 10), 19),
+        (build_k_nested_double_chain(3), gen_double_chain(14, 14), 141),
         (build_k_nested_regular(18), gen_nested_triangles(18), 32),
     ]:
         cnt, wits = count_drawings(t, ps, witnesses=True)
