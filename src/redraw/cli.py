@@ -15,7 +15,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Callable, NoReturn, Sequence
+from typing import Callable, Iterable, NoReturn, Sequence
 
 from .bounds import ConstraintKind, exponent_rate, optimize_growth
 from .comb import (
@@ -60,6 +60,20 @@ def _emit(args: argparse.Namespace, text: str) -> None:
             sys.stdout.write("\n")
 
 
+def _emit_lines(args: argparse.Namespace, lines: Iterable[str]) -> None:
+    """Write each line as it is produced.  The output opens at the first
+    line, so an error raised before it leaves no file behind."""
+    fh = None
+    try:
+        for line in lines:
+            if fh is None:
+                fh = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+            fh.write(line + "\n")
+    finally:
+        if fh is not None and fh is not sys.stdout:
+            fh.close()
+
+
 def _load_pointset(args: argparse.Namespace) -> PointSet:
     return PointSet.from_json(_read(args.pointset))
 
@@ -91,14 +105,14 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.interior is not None:
         ts = enumerate_comb_triangulations(args.interior, cap=args.cap)
         if args.stream:
-            _emit(args, "".join(t.to_json() + "\n" for t in ts))
+            _emit_lines(args, (t.to_json() for t in ts))
         else:
             _emit(args, str(len(ts)))
         return 0
     ps = _load_pointset(args)
     if args.stream:
         gen = enumerate_geometric_triangulations(ps, args.cap, args.max_n, args.jobs)
-        _emit(args, "".join(gt.to_json() + "\n" for gt in gen))
+        _emit_lines(args, (gt.to_json() for gt in gen))
     else:
         _emit(args, str(count_geometric_triangulations(ps, args.cap, args.max_n, args.jobs)))
     return 0

@@ -91,18 +91,20 @@ class CombTriangulation:
         return nxt
 
     def _orbits(self) -> list[list[Dart]]:
+        # each orbit starts at its lowest dart, orbits in order of it
         nxt = self._face_next()
-        left = set(nxt)
+        seen: set[Dart] = set()
         orbits = []
-        while left:
-            start = min(left)
+        for start in sorted(nxt):
+            if start in seen:
+                continue
             cyc = [start]
-            left.remove(start)
+            seen.add(start)
             d = nxt[start]
             while d != start:
-                if d not in left:
+                if d in seen:
                     raise ValueError("face walk revisits a dart, rotations inconsistent")
-                left.remove(d)
+                seen.add(d)
                 cyc.append(d)
                 d = nxt[d]
             orbits.append(cyc)

@@ -28,7 +28,7 @@ from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations, repeat
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .comb import (
     CombTriangulation,
@@ -105,6 +105,27 @@ def to_comb(gt: GeomTriangulation) -> CombTriangulation:
 # -- per point set index for mask based search -------------------------------
 
 
+class _built_on_first_use:
+    """A table of the index built on first read, like
+    `functools.cached_property`, but stored with `setattr`.  Writing into
+    the instance `__dict__`, as cached_property does, makes every later
+    attribute read on the index slower under CPython 3.11 (about twice as
+    slow in a timing loop)."""
+
+    def __init__(self, build: Callable[[_Index], list]) -> None:
+        self.build = build
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, ix: _Index | None, owner: type | None = None):
+        if ix is None:
+            return self
+        table = self.build(ix)
+        setattr(ix, self.name, table)
+        return table
+
+
 class _Index:
     """Per point set tables.  Edge ids index the lexicographic pair list;
     a triangulation is a bitmask over edge ids.  `masks` holds every
@@ -121,7 +142,7 @@ class _Index:
         self.masks: list[int] | None = None
         n = self.n = len(pts)
         self.pairs: list[Edge] = list(combinations(range(n), 2))
-        m = self.m_all = len(self.pairs)
+        self.m_all = len(self.pairs)
         eidm = self.eidm = [[-1] * n for _ in range(n)]
         for i, (a, b) in enumerate(self.pairs):
             eidm[a][b] = eidm[b][a] = i
@@ -130,7 +151,7 @@ class _Index:
         for a, b in zip(self.hull, self.hull[1:] + self.hull[:1]):
             self.hull_mask |= 1 << eidm[a][b]
         everyone = (1 << n) - 1
-        left = [[0] * n for _ in range(n)]
+        left = self.left = [[0] * n for _ in range(n)]
         for a, b in self.pairs:
             ax, ay = pts[a]
             dx, dy = pts[b][0] - ax, pts[b][1] - ay
@@ -140,18 +161,6 @@ class _Index:
                     mask |= 1 << c
             left[a][b] = mask
             left[b][a] = everyone ^ mask ^ (1 << a) ^ (1 << b)
-        # pairwise proper crossings
-        cross = self.cross = [0] * m
-        for i, (a, b) in enumerate(self.pairs):
-            lab = left[a][b]
-            for j in range(i + 1, m):
-                c, d = self.pairs[j]
-                if c == a or c == b or d == a or d == b:
-                    continue
-                lcd = left[c][d]
-                if (lab >> c ^ lab >> d) & (lcd >> a ^ lcd >> b) & 1:
-                    cross[i] |= 1 << j
-                    cross[j] |= 1 << i
         # empty[a][b]: apexes c of the empty counterclockwise triangles abc
         empty = self.empty = [[0] * n for _ in range(n)]
         for a in range(n):
@@ -160,16 +169,61 @@ class _Index:
                 for c in range(n):
                     if lab >> c & 1 and lab & left[b][c] & left[c][a] == 0:
                         empty[a][b] |= 1 << c
-        # angular neighbor orders, with per neighbor edge bit for filtering
-        self.angular: list[list[tuple[int, int]]] = []
-        for v in range(n):
-            others = [w for w in range(n) if w != v]
-            order = _ccw_neighbor_order(pts[v], others, pts)
-            self.angular.append([(w, 1 << eidm[v][w]) for w in order])
         self.incident = [0] * n
         for i, (a, b) in enumerate(self.pairs):
             self.incident[a] |= 1 << i
             self.incident[b] |= 1 << i
+
+    # The tables below are built on first use: a direct count reads none
+    # of them.  A caller that forks workers touches them first, so that
+    # the workers inherit them.
+
+    @_built_on_first_use
+    def cross(self) -> list[int]:
+        """cross[i]: the edge ids whose segments properly cross edge i."""
+        left, pairs, m = self.left, self.pairs, self.m_all
+        cross = [0] * m
+        for i, (a, b) in enumerate(pairs):
+            lab = left[a][b]
+            for j in range(i + 1, m):
+                c, d = pairs[j]
+                if c == a or c == b or d == a or d == b:
+                    continue
+                lcd = left[c][d]
+                if (lab >> c ^ lab >> d) & (lcd >> a ^ lcd >> b) & 1:
+                    cross[i] |= 1 << j
+                    cross[j] |= 1 << i
+        return cross
+
+    @_built_on_first_use
+    def dart_cross(self) -> list[int]:
+        """dart_cross[a*n+b]: `cross` over darts.  Both a*n+b and b*n+a
+        hold, for every segment cd crossing ab, both darts c*n+d and
+        d*n+c."""
+        n, pairs = self.n, self.pairs
+        rows = [0] * (n * n)
+        for i, (a, b) in enumerate(pairs):
+            row = 0
+            crossed = self.cross[i]
+            while crossed:
+                low = crossed & -crossed
+                crossed ^= low
+                c, d = pairs[low.bit_length() - 1]
+                row |= 1 << (c * n + d) | 1 << (d * n + c)
+            rows[a * n + b] = rows[b * n + a] = row
+        return rows
+
+    @_built_on_first_use
+    def angular(self) -> list[list[tuple[int, int]]]:
+        """Per point, the others in counterclockwise order, each with the
+        bit of its edge, for reading rotations off an edge mask."""
+        pts, eidm = self.pts, self.eidm
+        out = []
+        for v in range(self.n):
+            others = [w for w in range(self.n) if w != v]
+            order = _ccw_neighbor_order(pts[v], others, pts)
+            out.append([(w, 1 << eidm[v][w]) for w in order])
+        return out
 
 
 _INDEXES: dict[tuple[Point, ...], _Index] = {}
@@ -237,6 +291,7 @@ def _enumerate_masks(ix: _Index, cap: int | None = None, jobs: int = 1) -> list[
                 states = [s for o, m in states for s in (_steps(ix, o, m) if o else [(o, m)])]
         workers = _worker_count(jobs, len(states))
         if workers > 1:
+            ix.cross  # built before the workers fork
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 parts = list(pool.map(_triangulations_task, repeat(ix.pts), states, repeat(cap)))
         else:
@@ -544,6 +599,7 @@ def count_polygonalizations(
     if n < 3:
         raise ValueError("need at least 3 points")
     ix = _index_for(ps.points)
+    ix.dart_cross  # built before the workers fork
     seconds = list(range(1, n))
     workers = _worker_count(jobs, len(seconds))
     if workers > 1:
@@ -561,32 +617,38 @@ def _polygon_count_task(points: tuple[Point, ...], second: int) -> int:
 
 
 def _count_polygons_from(ix: _Index, second: int) -> int:
-    """Polygonalizations whose path leaves point 0 towards `second`."""
+    """Polygonalizations whose path leaves point 0 towards `second`, each
+    counted in the direction whose last point exceeds `second`.
+
+    A node is (last, free, blocked): the path's end, the unvisited points,
+    and the darts crossed by some path edge, an OR of `dart_cross` rows.
+    The path extends from `last` to the free points whose dart from
+    `last` is not blocked.  The low n bits of `blocked` are the darts
+    0->p, so the points that could still close the cycle are `free &
+    above & ~blocked`.  `blocked` only grows, so a node where none is left
+    is pruned.  At the node with one free point that test is the closing
+    test, so every complete path is a polygon."""
     n = ix.n
-    eidm = ix.eidm
-    cross = ix.cross
+    rows = ix.dart_cross
+    everyone = (1 << n) - 1
+    above = everyone >> (second + 1) << (second + 1)
     count = 0
-    used = (1 << 0) | (1 << second)
-    edge_mask = 1 << eidm[0][second]
 
-    def extend(last: int, used: int, edge_mask: int, depth: int) -> None:
+    def extend(last: int, free: int, blocked: int) -> None:
         nonlocal count
-        if depth == n:
-            if second < last:  # one direction per cycle
-                e = eidm[last][0]
-                if cross[e] & edge_mask == 0:
-                    count += 1
+        if not free:
+            count += 1
             return
-        for p in range(1, n):
-            bit = 1 << p
-            if used & bit:
-                continue
-            e = eidm[last][p]
-            if cross[e] & edge_mask:
-                continue
-            extend(p, used | bit, edge_mask | (1 << e), depth + 1)
+        if not free & above & ~blocked:
+            return
+        cand = free & ~(blocked >> last * n)
+        while cand:
+            bit = cand & -cand
+            cand ^= bit
+            p = bit.bit_length() - 1
+            extend(p, free ^ bit, blocked | rows[last * n + p])
 
-    extend(second, used, edge_mask, 2)
+    extend(second, everyone ^ 1 ^ (1 << second), rows[second])  # dart 0->second
     return count
 
 

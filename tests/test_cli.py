@@ -111,6 +111,21 @@ def test_enumerate_pointset_stream(tmp_path):
         assert g.to_json() == line
 
 
+def test_stream_file_matches_stdout_and_a_failed_stream_writes_no_file(tmp_path):
+    f = tmp_path / "ps.json"
+    f.write_text(gen_double_chain(3, 3).to_json())
+    for source in (["--pointset", str(f)], ["--interior", "2"]):
+        out = tmp_path / "out.jsonl"
+        s = run_cli("enumerate", *source, "--stream")
+        r = run_cli("enumerate", *source, "--stream", "-o", str(out))
+        assert r.returncode == 0 and r.stdout == "" and out.read_text() == s.stdout
+        capped = tmp_path / "capped.jsonl"
+        r = run_cli("enumerate", *source, "--stream", "--cap", "1", "-o", str(capped))
+        assert r.returncode == 1 and r.stdout == ""
+        assert json.loads(r.stderr)["error"] == "RuntimeError"
+        assert not capped.exists()
+
+
 def test_count_drawings_shortcut_rows():
     r = run_cli("count-drawings", "--t", "7", "--l", "1", "--backend", "direct")
     assert r.returncode == 0 and r.stdout == "0\n"
