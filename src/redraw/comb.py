@@ -65,6 +65,21 @@ class CombTriangulation:
         )
         self._validate()
 
+    @classmethod
+    def _trusted(
+        cls,
+        num_vertices: int,
+        outer_face: tuple[int, ...],
+        rotations: tuple[tuple[int, ...], ...],
+    ) -> CombTriangulation:
+        """Construction without `_validate`, for rotations read off a
+        straight line triangulation that its caller has already checked."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "num_vertices", num_vertices)
+        object.__setattr__(t, "outer_face", outer_face)
+        object.__setattr__(t, "rotations", rotations)
+        return t
+
     # -- derived quantities -------------------------------------------
 
     @property
@@ -111,16 +126,22 @@ class CombTriangulation:
         return orbits
 
     def faces(self) -> list[tuple[int, int, int]]:
-        """All internal triangular faces, counterclockwise, lowest label first."""
-        outer_dart = (self.outer_face[1], self.outer_face[0])
+        """All internal triangular faces, counterclockwise, lowest label first.
+
+        The face left of dart u->v is (v, w, u), with w the neighbor before
+        u in v's rotation (see `_face_next`), so each face is read off the
+        rotation of its lowest vertex.  At outer_face[i] the wedge ending at
+        outer_face[i+1] is the outer face."""
+        outer = self.outer_face
+        outer_wedge = dict(zip(outer, outer[1:] + outer[:1]))
         out = []
-        for orbit in self._orbits():
-            if outer_dart in orbit:
-                continue
-            a, b, c = (d[0] for d in orbit)
-            i = min(range(3), key=((a, b, c)).__getitem__)
-            t = (a, b, c)
-            out.append((t[i], t[(i + 1) % 3], t[(i + 2) % 3]))
+        for v, rot in enumerate(self.rotations):
+            skip = outer_wedge.get(v)
+            w = rot[-1]
+            for u in rot:
+                if v < w and v < u and u != skip:
+                    out.append((v, w, u))
+                w = u
         return sorted(out)
 
     # -- validation -----------------------------------------------------
@@ -224,25 +245,18 @@ def _code_from_rotations(
     root, ref = outer_face[0], outer_face[1]
     labels[root] = 0
     order: list[Dart] = [(root, ref)]
-    next_label = 1
     parts = [num_vertices, len(outer_face)]
-    qi = 0
-    while qi < len(order):
-        v, ref = order[qi]
-        qi += 1
+    for v, ref in order:  # the queue: a list iterator sees later appends
         rot = rotations[v]
-        d = len(rot)
         i0 = rot.index(ref)
-        parts.append(d)
-        for t in range(d):
-            w = rot[(i0 + t) % d]
+        parts.append(len(rot))
+        for w in rot[i0:] + rot[:i0]:
             lw = labels[w]
             if lw < 0:
-                lw = labels[w] = next_label
-                next_label += 1
+                lw = labels[w] = len(order)  # one label per queued vertex
                 order.append((w, v))
             parts.append(lw)
-    return b" ".join(b"%d" % p for p in parts)
+    return " ".join(map(str, parts)).encode()
 
 
 def canonical_code(t: CombTriangulation) -> bytes:

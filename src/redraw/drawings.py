@@ -76,7 +76,8 @@ class GeomTriangulation:
             if crossed:
                 other = ix.pairs[(crossed & -crossed).bit_length() - 1]
                 raise ValueError(f"edges {(a, b)} and {other} cross")
-        comb = CombTriangulation(ix.n, tuple(ix.hull), _mask_rotations(mask, ix))
+        # checked above, so the structure needs no second validation
+        comb = CombTriangulation._trusted(ix.n, tuple(ix.hull), _mask_rotations(mask, ix))
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "triangles", tuple(comb.faces()))
         object.__setattr__(self, "_comb", comb)
@@ -250,8 +251,29 @@ def _mask_rotations(mask: int, ix: _Index) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _mask_code(mask: int, ix: _Index) -> bytes:
-    return _code_from_rotations(ix.n, ix.hull, _mask_rotations(mask, ix))
+def _mask_coder(ix: _Index) -> Callable[[int], bytes]:
+    """A function from a triangulation mask of the indexed set to its
+    canonical code.
+
+    A vertex's rotation depends only on its incident edges, and across
+    the triangulations of one set the same incident edges recur, so each
+    vertex keeps a dict from them to the rotation read off `angular`.
+    The dicts live as long as the returned function, which callers keep
+    for one pass: on the index they would last for the whole process."""
+    n, hull = ix.n, ix.hull
+    tables = [(ang, inc, {}) for ang, inc in zip(ix.angular, ix.incident)]
+
+    def code(mask: int) -> bytes:
+        rotations = []
+        for ang, inc, seen in tables:
+            key = mask & inc
+            rot = seen.get(key)
+            if rot is None:
+                rot = seen[key] = tuple(w for w, bit in ang if key & bit)
+            rotations.append(rot)
+        return _code_from_rotations(n, hull, rotations)
+
+    return code
 
 
 def _mask_edges(mask: int, ix: _Index) -> frozenset[Edge]:
@@ -390,9 +412,10 @@ def classify_drawings(
     the hull), values how many geometric triangulations realize each.
     """
     ix = _guarded_index(ps, max_n)
+    code = _mask_coder(ix)
     hist: dict[bytes, int] = defaultdict(int)
     for mask in _enumerate_masks(ix, jobs=jobs):
-        hist[_mask_code(mask, ix)] += 1
+        hist[code(mask)] += 1
     return dict(hist)
 
 
@@ -564,6 +587,7 @@ def count_drawings(
         target = canonical_code(t)
         corner_deg = [t.degree(v) for v in t.outer_face]
         deg_ms = sorted(len(r) for r in t.rotations)
+        code = _mask_coder(ix)
         found = []
         for mask in _enumerate_masks(ix, jobs=jobs):
             degs = [(mask & ix.incident[v]).bit_count() for v in range(ix.n)]
@@ -571,7 +595,7 @@ def count_drawings(
                 continue
             if sorted(degs) != deg_ms:
                 continue
-            if _mask_code(mask, ix) == target:
+            if code(mask) == target:
                 found.append(mask)
     else:
         raise ValueError(f"unknown backend {backend!r}")

@@ -311,3 +311,23 @@ def test_band_builder_outer_peel_recursion():
 def test_band_builder_rejects_tiny():
     with pytest.raises(ValueError):
         build_k_nested_regular(2)
+
+
+def test_faces_are_the_triangular_face_orbits():
+    # faces() reads each face off the rotation of its lowest vertex; the
+    # dart walk of `_orbits` is the reference.
+    heptagon = [Point(i, i * i) for i in range(7)]
+    fan = [(i, i + 1) for i in range(6)] + [(0, k) for k in range(2, 7)]
+    structures = [t for n in range(5) for t in enumerate_comb_triangulations(n)]
+    structures += [build_k_nested_double_chain(k) for k in (1, 2)]
+    structures += [build_k_nested_regular(n) for n in range(3, 13)]
+    structures.append(from_straight_line_drawing(heptagon, fan))
+    for t in structures:
+        outer_dart = (t.outer_face[1], t.outer_face[0])
+        ref = []
+        for orbit in t._orbits():
+            if outer_dart not in orbit:
+                tri = [d[0] for d in orbit]
+                i = tri.index(min(tri))
+                ref.append(tuple(tri[i:] + tri[:i]))
+        assert t.faces() == sorted(ref)

@@ -48,3 +48,12 @@ def test_chain_pair_counts_script(tmp_path):
     assert [int(row[1]) for row in rows] == [0, 1, 2, 3, 2, 1, 0]
     assert all(row[1] == row[2] for row in rows)
     assert "MISMATCH" not in r.stdout
+
+
+def test_double_chain_classes_script(tmp_path):
+    r = run_script("double_chain_classes.py", "--max-points", "8", cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    rows = {row[0]: row[1:] for row in map(str.split, r.stdout.splitlines()[1:])}
+    assert rows["3+3"] == ["6", "6", "1", "1.000000", "13"]
+    assert rows["4+4"] == ["80", "78", "2", f"{2 ** (1 / 8):.6f}", "162"]
+    assert "MISMATCH" not in r.stdout
