@@ -211,16 +211,22 @@ def _parser() -> _Parser:
             sp.add_argument("--cap", type=int, help="abort beyond this many results")
 
     sp = sub.add_parser("gen", help="generate a structured point set")
-    sp.add_argument("family", choices=["double-chain", "nested-triangles"])
-    sp.add_argument("--t", type=int, help="upper chain size")
-    sp.add_argument("--l", type=int, help="lower chain size")
-    sp.add_argument("--n", type=int, help="point count")
+    families = sp.add_subparsers(dest="family", required=True)
+    sp = families.add_parser("double-chain")
+    sp.add_argument("--t", type=int, required=True, help="upper chain size")
+    sp.add_argument("--l", type=int, required=True, help="lower chain size")
+    common(sp, _cmd_gen)
+    sp = families.add_parser("nested-triangles")
+    sp.add_argument("--n", type=int, required=True, help="point count")
     common(sp, _cmd_gen)
 
     sp = sub.add_parser("build", help="build a reference triangulation")
-    sp.add_argument("family", choices=["nested-double-chain", "nested-regular"])
-    sp.add_argument("--k", type=int, help="layer count")
-    sp.add_argument("--n", type=int, help="vertex count")
+    families = sp.add_subparsers(dest="family", required=True)
+    sp = families.add_parser("nested-double-chain")
+    sp.add_argument("--k", type=int, required=True, help="layer count")
+    common(sp, _cmd_build)
+    sp = families.add_parser("nested-regular")
+    sp.add_argument("--n", type=int, required=True, help="vertex count")
     common(sp, _cmd_build)
 
     sp = sub.add_parser("tutte", help="exact triangulation count for n interior vertices")
@@ -276,16 +282,6 @@ def _parser() -> _Parser:
 
 
 def _check_args(args: argparse.Namespace) -> str | None:
-    if args.command == "gen":
-        if args.family == "double-chain" and (args.t is None or args.l is None):
-            return "gen double-chain needs --t and --l"
-        if args.family == "nested-triangles" and args.n is None:
-            return "gen nested-triangles needs --n"
-    if args.command == "build":
-        if args.family == "nested-double-chain" and args.k is None:
-            return "build nested-double-chain needs --k"
-        if args.family == "nested-regular" and args.n is None:
-            return "build nested-regular needs --n"
     if args.command == "count-drawings":
         shortcut = args.t is not None or args.l is not None
         files = args.triangulation is not None and args.pointset is not None

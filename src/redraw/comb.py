@@ -2,9 +2,10 @@
 
 A combinatorial triangulation is stored as, for every vertex, the cyclic
 counterclockwise order of its neighbors, together with a designated outer
-face.  Faces are recovered by dart walking, so validity (all internal
-faces triangles, Euler relation, simplicity) is checked structurally at
-construction time.
+face.  Faces are read off the rotations: the face left of the dart u->v
+is (v, w, u), with w the neighbor before u in v's rotation.  So validity
+(simplicity, the edge count, every internal face a triangle, the outer
+face a face) is checked wedge by wedge at construction time.
 
 Identity of two triangulations with the same outer boundary is decided by
 `canonical_code`: a breadth-first serialization seeded at the directed
@@ -96,42 +97,13 @@ class CombTriangulation:
 
     # -- face structure -----------------------------------------------
 
-    def _face_next(self) -> dict[Dart, Dart]:
-        # The face left of dart u->v continues at v along the neighbor
-        # that precedes u in v's counterclockwise rotation.
-        nxt: dict[Dart, Dart] = {}
-        for v, rot in enumerate(self.rotations):
-            for i, u in enumerate(rot):
-                nxt[(u, v)] = (v, rot[i - 1])
-        return nxt
-
-    def _orbits(self) -> list[list[Dart]]:
-        # each orbit starts at its lowest dart, orbits in order of it
-        nxt = self._face_next()
-        seen: set[Dart] = set()
-        orbits = []
-        for start in sorted(nxt):
-            if start in seen:
-                continue
-            cyc = [start]
-            seen.add(start)
-            d = nxt[start]
-            while d != start:
-                if d in seen:
-                    raise ValueError("face walk revisits a dart, rotations inconsistent")
-                seen.add(d)
-                cyc.append(d)
-                d = nxt[d]
-            orbits.append(cyc)
-        return orbits
-
     def faces(self) -> list[tuple[int, int, int]]:
         """All internal triangular faces, counterclockwise, lowest label first.
 
         The face left of dart u->v is (v, w, u), with w the neighbor before
-        u in v's rotation (see `_face_next`), so each face is read off the
-        rotation of its lowest vertex.  At outer_face[i] the wedge ending at
-        outer_face[i+1] is the outer face."""
+        u in v's rotation, so each face is read off the rotation of its
+        lowest vertex.  At outer_face[i] the wedge ending at outer_face[i+1]
+        is the outer face."""
         outer = self.outer_face
         outer_wedge = dict(zip(outer, outer[1:] + outer[:1]))
         out = []
@@ -147,6 +119,22 @@ class CombTriangulation:
     # -- validation -----------------------------------------------------
 
     def _validate(self) -> None:
+        """Raise ValueError on the first violated invariant.
+
+        After the structural checks come two local ones, with the rule of
+        `faces`.  Around outer_face[i] the neighbor before
+        outer_face[i+1] must be outer_face[i-1], so the outer face is a
+        face; and for every other wedge (v, w, u) the neighbor before v
+        around w must be u, so the face left of u->v is a triangle.
+        Nothing else needs checking.  The map from u->v to v->w, the next
+        dart of the same face, is a permutation of the darts, since the
+        rotations are simple and reciprocal, so a face walk never revisits
+        a dart.  The dart outer_face[1]->outer_face[0] exists, since
+        consecutive outer vertices are adjacent.  With the outer face of
+        length h and every other face a triangle, the 2m darts form
+        f = 1 + (2m-h)/3 faces, and Euler's n - m + f = 2 holds exactly
+        when m = 3n-3-h, the edge count checked before.
+        """
         n, outer, rots = self.num_vertices, self.outer_face, self.rotations
         if n < 3:
             raise ValueError("need at least 3 vertices")
@@ -184,25 +172,22 @@ class CombTriangulation:
         h = len(outer)
         if m != 3 * n - 3 - h:
             raise ValueError(f"edge count {m}, expected 3v-3-h = {3 * n - 3 - h}")
-        for a, b in zip(outer, outer[1:] + outer[:1]):
+        outer_wedge = dict(zip(outer, outer[1:] + outer[:1]))
+        for a, b in outer_wedge.items():
             if b not in rots[a]:
                 raise ValueError("consecutive outer face vertices are not adjacent")
-        orbits = self._orbits()
-        outer_dart = (outer[1], outer[0])
-        outer_seen = False
-        for orbit in orbits:
-            verts = [d[0] for d in orbit]
-            if outer_dart in orbit:
-                outer_seen = True
-                if not _cyclic_eq(verts, list(reversed(outer))):
-                    raise ValueError("designated outer face is not a face")
-            else:
-                if len(verts) != 3 or len(set(verts)) != 3:
+        for i, v in enumerate(outer):
+            rot = rots[v]
+            if rot[rot.index(outer_wedge[v]) - 1] != outer[i - 1]:
+                raise ValueError("designated outer face is not a face")
+        for v, rot in enumerate(rots):
+            skip = outer_wedge.get(v)
+            w = rot[-1]
+            for u in rot:
+                around_w = rots[w]
+                if u != skip and around_w[around_w.index(v) - 1] != u:
                     raise ValueError("internal face is not a triangle")
-        if not outer_seen:
-            raise ValueError("outer face dart missing")
-        if n - m + len(orbits) != 2:
-            raise ValueError("Euler check failed")
+                w = u
 
     # -- serialization ---------------------------------------------------
 

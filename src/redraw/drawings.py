@@ -512,11 +512,11 @@ def _direct_search(t: CombTriangulation, ix: _Index) -> list[int]:
         asg[v] = hull[i]
         used |= 1 << hull[i]
     # deterministic placement order, most placed neighbors first, and per
-    # step the pair (a, b) of every face (a, b, v) completed there
+    # step the pair (w, u) of every face (v, w, u) completed there: w, u
+    # placed and consecutive in v's rotation, as `faces` reads them
     order: list[int] = []
     step_sides: list[list[tuple[int, int]]] = []
     placed = set(t.outer_face)
-    faces = t.faces()
     while len(placed) < n:
         v = min(
             (v for v in range(n) if v not in placed),
@@ -524,12 +524,10 @@ def _direct_search(t: CombTriangulation, ix: _Index) -> list[int]:
         )
         order.append(v)
         placed.add(v)
-        sides = []
-        for f in faces:
-            if v in f and all(u in placed for u in f):
-                i = f.index(v)
-                sides.append((f[(i + 1) % 3], f[(i + 2) % 3]))
-        step_sides.append(sides)
+        rot = t.rotations[v]
+        step_sides.append(
+            [(w, u) for w, u in zip(rot[-1:] + rot[:-1], rot) if w in placed and u in placed]
+        )
     edges = t.edges()
     images: list[int] = []
 
@@ -614,7 +612,9 @@ def count_polygonalizations(
 
     Depth first search over paths from point 0 with crossing pruning;
     each undirected cycle is counted once (direction fixed by comparing
-    the two neighbors of point 0).
+    the two neighbors of point 0).  The search raises RuntimeError as soon
+    as it has counted more than `cap` polygons; with jobs > 1 each worker
+    checks its own count, and the total is checked at the end.
     """
     limit = POLYGON_POINT_GUARD if max_n is None else max_n
     n = len(ps)
@@ -628,21 +628,24 @@ def count_polygonalizations(
     workers = _worker_count(jobs, len(seconds))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            total = sum(pool.map(_polygon_count_task, repeat(ix.pts), seconds))
+            total = sum(pool.map(_polygon_count_task, repeat(ix.pts), seconds, repeat(cap)))
     else:
-        total = sum(_count_polygons_from(ix, v) for v in seconds)
+        total = 0
+        for v in seconds:
+            total = _count_polygons_from(ix, v, cap, total)
     if cap is not None and total > cap:
         raise RuntimeError(f"more than cap={cap} polygonalizations")
     return total
 
 
-def _polygon_count_task(points: tuple[Point, ...], second: int) -> int:
-    return _count_polygons_from(_index_for(points), second)
+def _polygon_count_task(points: tuple[Point, ...], second: int, cap: int | None) -> int:
+    return _count_polygons_from(_index_for(points), second, cap)
 
 
-def _count_polygons_from(ix: _Index, second: int) -> int:
-    """Polygonalizations whose path leaves point 0 towards `second`, each
-    counted in the direction whose last point exceeds `second`.
+def _count_polygons_from(ix: _Index, second: int, cap: int | None, count: int = 0) -> int:
+    """`count` plus the polygonalizations whose path leaves point 0
+    towards `second`, each counted in the direction whose last point
+    exceeds `second`.  Raises RuntimeError once the sum passes `cap`.
 
     A node is (last, free, blocked): the path's end, the unvisited points,
     and the darts crossed by some path edge, an OR of `dart_cross` rows.
@@ -656,12 +659,13 @@ def _count_polygons_from(ix: _Index, second: int) -> int:
     rows = ix.dart_cross
     everyone = (1 << n) - 1
     above = everyone >> (second + 1) << (second + 1)
-    count = 0
 
     def extend(last: int, free: int, blocked: int) -> None:
         nonlocal count
         if not free:
             count += 1
+            if cap is not None and count > cap:
+                raise RuntimeError(f"more than cap={cap} polygonalizations")
             return
         if not free & above & ~blocked:
             return
@@ -713,14 +717,16 @@ def forced_hamiltonian_cycle(ps: PointSet) -> frozenset[Edge]:
     )
 
 
-def forced_edges_always_present(ps: PointSet, max_n: int | None = None) -> bool:
-    """Exhaustively check forced_cycle against every triangulation of ps."""
-    cycle = forced_cycle(ps)
-    ix = _guarded_index(ps, max_n)
-    need = 0
-    for a, b in cycle:
-        need |= 1 << ix.eidm[a][b]
-    return all(mask & need == need for mask in _enumerate_masks(ix))
+def forced_edges_always_present(ps: PointSet) -> bool:
+    """Does every triangulation of ps contain every edge of forced_cycle?
+
+    An edge lies in every triangulation exactly when no segment between
+    two points of ps crosses it.  If none does, adding the edge to a
+    triangulation leaves it crossing free, so the triangulation, being
+    maximal, has it already.  If one does, that segment extends, as any
+    crossing free set does, to a triangulation, which lacks the edge."""
+    ix = _index_for(ps.points)
+    return all(ix.cross[ix.eidm[a][b]] == 0 for a, b in forced_cycle(ps))
 
 
 # -- layered assembly count ---------------------------------------------------

@@ -1,5 +1,7 @@
 import itertools
 import math
+import random
+from collections import Counter
 
 import networkx as nx
 import pytest
@@ -313,6 +315,32 @@ def test_band_builder_rejects_tiny():
         build_k_nested_regular(2)
 
 
+def _orbits(t):
+    """The faces of t as cycles of darts, each from its lowest dart: the
+    face left of u->v continues along v->w, w before u around v.  This
+    walk is the reference for `faces` and `_validate`, which read the
+    faces off the rotations instead."""
+    nxt = {}
+    for v, rot in enumerate(t.rotations):
+        for i, u in enumerate(rot):
+            nxt[(u, v)] = (v, rot[i - 1])
+    seen = set()
+    orbits = []
+    for start in sorted(nxt):
+        if start in seen:
+            continue
+        cyc = [start]
+        seen.add(start)
+        d = nxt[start]
+        while d != start:
+            assert d not in seen, "face walk revisits a dart"
+            seen.add(d)
+            cyc.append(d)
+            d = nxt[d]
+        orbits.append(cyc)
+    return orbits
+
+
 def test_faces_are_the_triangular_face_orbits():
     # faces() reads each face off the rotation of its lowest vertex; the
     # dart walk of `_orbits` is the reference.
@@ -325,9 +353,84 @@ def test_faces_are_the_triangular_face_orbits():
     for t in structures:
         outer_dart = (t.outer_face[1], t.outer_face[0])
         ref = []
-        for orbit in t._orbits():
+        for orbit in _orbits(t):
             if outer_dart not in orbit:
                 tri = [d[0] for d in orbit]
                 i = tri.index(min(tri))
                 ref.append(tuple(tri[i:] + tri[:i]))
         assert t.faces() == sorted(ref)
+
+
+FACE_ERRORS = ("designated outer face is not a face", "internal face is not a triangle")
+
+
+def _face_walk_accepts(t):
+    """The face checks of validation by dart walk: the orbit of
+    outer_face[1]->outer_face[0] walks the outer face backwards, and
+    every other orbit is a triangle."""
+    outer = t.outer_face
+    outer_dart = (outer[1], outer[0])
+    orbits = _orbits(t)
+    assert any(outer_dart in orbit for orbit in orbits), "outer face dart missing"
+    for orbit in orbits:
+        verts = [d[0] for d in orbit]
+        if outer_dart in orbit:
+            if not comb._cyclic_eq(verts, outer[::-1]):
+                return False
+        elif len(verts) != 3 or len(set(verts)) != 3:
+            return False
+    assert t.num_vertices - t.edge_count + len(orbits) == 2, "Euler check failed"
+    return True
+
+
+def _perturbed(rng, t):
+    """The outer face and rotations of t after one or two random edits."""
+    n = t.num_vertices
+    outer = list(t.outer_face)
+    rots = [list(r) for r in t.rotations]
+    for _ in range(rng.randint(1, 2)):
+        kind = rng.randrange(5)
+        r = rng.choice(rots)
+        if kind == 0 and len(r) >= 2:  # swap two neighbours
+            i, j = rng.sample(range(len(r)), 2)
+            r[i], r[j] = r[j], r[i]
+        elif kind == 1:  # reverse a run of neighbours
+            i, j = sorted(rng.sample(range(len(r) + 1), 2))
+            r[i:j] = r[i:j][::-1]
+        elif kind == 2:  # start the outer face elsewhere
+            k = rng.randrange(len(outer))
+            outer = outer[k:] + outer[:k]
+        elif kind == 3:
+            outer.reverse()
+        elif kind == 4:  # rewire an edge a-b as c-d, at random places
+            a = rng.randrange(n)
+            b = rng.choice(rots[a])
+            c, d = rng.sample(range(n), 2)
+            if d not in rots[c]:
+                rots[a].remove(b)
+                rots[b].remove(a)
+                rots[c].insert(rng.randrange(len(rots[c]) + 1), d)
+                rots[d].insert(rng.randrange(len(rots[d]) + 1), c)
+    return tuple(outer), tuple(tuple(r) for r in rots)
+
+
+def test_validation_accepts_what_the_face_walk_accepts():
+    rng = random.Random(2024)
+    bases = [t for n in range(5) for t in enumerate_comb_triangulations(n)]
+    bases += [build_k_nested_double_chain(1)] + [build_k_nested_regular(n) for n in (9, 10, 11)]
+    verdicts = Counter()
+    for t in bases:
+        for _ in range(60):
+            outer, rots = _perturbed(rng, t)
+            try:
+                CombTriangulation(t.num_vertices, outer, rots)
+                accepted = True
+            except ValueError as exc:
+                if str(exc) not in FACE_ERRORS:  # a check both validations share
+                    verdicts["before the faces"] += 1
+                    continue
+                accepted = False
+            walk = _face_walk_accepts(CombTriangulation._trusted(t.num_vertices, outer, rots))
+            assert accepted == walk, (outer, rots)
+            verdicts[accepted] += 1
+    assert verdicts[True] > 500 and verdicts[False] > 1000

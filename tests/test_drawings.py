@@ -399,6 +399,21 @@ def test_forced_edges_in_every_triangulation():
         assert forced <= set(g.edges)
 
 
+def test_forced_edges_are_exactly_the_uncrossed_edges():
+    # exhaustive reference: the edges common to every triangulation
+    for t in range(2, 6):
+        for l in range(t, 11 - t):
+            ps = gen_double_chain(t, l)
+            ix = drawings._index_for(ps.points)
+            common = ~0
+            for mask in drawings._enumerate_masks(ix):
+                common &= mask
+            uncrossed = {e for i, e in enumerate(ix.pairs) if ix.cross[i] == 0}
+            assert {e for i, e in enumerate(ix.pairs) if common >> i & 1} == uncrossed
+            assert uncrossed == forced_cycle(ps)
+            assert forced_edges_always_present(ps)
+
+
 def test_forced_structure_needs_a_fat_double_chain(pentagon):
     with pytest.raises(ValueError, match="double chain"):
         forced_cycle(gen_double_chain(1, 4))

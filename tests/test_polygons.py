@@ -7,7 +7,7 @@ from itertools import permutations
 import pytest
 
 from conftest import random_set
-from redraw.drawings import count_polygonalizations
+from redraw.drawings import _index_for, count_polygonalizations
 from redraw.geometry import segments_cross
 from redraw.pointsets import PointSet, gen_double_chain, gen_nested_triangles
 
@@ -47,3 +47,38 @@ def test_polygon_search_matches_permutations(ps):
     reference = polygons_by_permutation(ps)
     assert count_polygonalizations(ps, jobs=1) == reference
     assert count_polygonalizations(ps, jobs=2) == reference
+
+
+class CountingRows(list):
+    """`dart_cross` rows that count how often the search reads them."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def test_cap_stops_the_search_early(monkeypatch):
+    ps = gen_double_chain(6, 6)
+    ix = _index_for(ps.points)
+    rows = CountingRows(ix.dart_cross)
+    monkeypatch.setattr(ix, "dart_cross", rows)
+    with pytest.raises(RuntimeError, match="more than cap=10 polygonalizations"):
+        count_polygonalizations(ps, cap=10)
+    capped, rows.reads = rows.reads, 0
+    assert count_polygonalizations(ps) == 33094
+    assert capped < 1000 and rows.reads > 100_000  # 240 and 867,090 reads
+
+
+def test_cap_in_workers_and_on_the_total():
+    # 3+3 has 13 polygons: 7, 5 and 1 leave point 0 towards points 1, 2, 3
+    ps = gen_double_chain(3, 3)
+    with pytest.raises(RuntimeError, match="more than cap=7 polygonalizations"):
+        count_polygonalizations(ps, cap=7, jobs=2)  # caught by the total
+    with pytest.raises(RuntimeError, match="more than cap=6 polygonalizations"):
+        count_polygonalizations(ps, cap=6, jobs=2)  # raised in a worker
+    with pytest.raises(RuntimeError, match="more than cap=7 polygonalizations"):
+        count_polygonalizations(ps, cap=7)  # by the running count
+    assert count_polygonalizations(ps, cap=13, jobs=2) == 13
+    assert count_polygonalizations(ps, cap=13) == 13
