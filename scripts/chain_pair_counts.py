@@ -28,7 +28,7 @@ def main() -> None:
         tic = time.monotonic()
         d = count_drawings(t1, ps, backend="direct")[0]
         o = count_drawings(t1, ps, backend="oracle", jobs=args.jobs)[0]
-        total = count_geometric_triangulations(ps, jobs=args.jobs)
+        total = count_geometric_triangulations(ps)
         secs = time.monotonic() - tic
         flag = "" if d == o else "  MISMATCH"
         print(f"{t:>3},{l:<2} {d:>8} {o:>8} {total:>8} {secs:>7.2f}{flag}")

@@ -114,7 +114,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         gen = enumerate_geometric_triangulations(ps, args.cap, args.max_n, args.jobs)
         _emit_lines(args, (gt.to_json() for gt in gen))
     else:
-        _emit(args, str(count_geometric_triangulations(ps, args.cap, args.max_n, args.jobs)))
+        _emit(args, str(count_geometric_triangulations(ps, args.cap, args.max_n)))
     return 0
 
 

@@ -14,6 +14,11 @@ the direct backend searches label assignments, placing each interior vertex
 only where every face it closes is an empty counterclockwise triangle, and
 takes each complete assignment as a drawing without re-checking it.
 
+Triangulations are streamed from that search into each consumer, and
+nothing keeps them past the call: the oracle and the class histogram read
+the stream, the public enumerator sorts its own copy, and the triangulation
+count memoizes the search on its open edges instead of listing anything.
+
 Exhaustive operations are guarded: they are meant for desk scale
 instances, and the guards are arguments, not constants baked into the
 search.
@@ -26,8 +31,9 @@ import json
 import os
 from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from itertools import combinations, repeat
+from itertools import chain, combinations, islice, repeat
 from typing import Callable, Iterator
 
 from .comb import (
@@ -129,8 +135,8 @@ class _built_on_first_use:
 
 class _Index:
     """Per point set tables.  Edge ids index the lexicographic pair list;
-    a triangulation is a bitmask over edge ids.  `masks` holds every
-    triangulation of the set, sorted, once `_enumerate_masks` has run.
+    a triangulation is a bitmask over edge ids.  The index holds tables of
+    the point set only, never triangulations.
 
     Every geometric table derives from one orientation table, built once:
     `left[a][b]` is the bitmask of the points strictly left of the directed
@@ -140,7 +146,6 @@ class _Index:
 
     def __init__(self, pts: tuple[Point, ...]):
         self.pts = pts
-        self.masks: list[int] | None = None
         n = self.n = len(pts)
         self.pairs: list[Edge] = list(combinations(range(n), 2))
         self.m_all = len(self.pairs)
@@ -288,9 +293,15 @@ def _guarded_index(ps: PointSet, max_n: int | None) -> _Index:
     return _index_for(ps.points)
 
 
-def _enumerate_masks(ix: _Index, cap: int | None = None, jobs: int = 1) -> list[int]:
-    """All triangulation bitmasks of the indexed set, sorted, each found
-    once.
+def _root(ix: _Index) -> tuple[int, int]:
+    """The state with only the hull drawn, its edges open counterclockwise."""
+    sides = zip(ix.hull, ix.hull[1:] + ix.hull[:1])
+    return sum(1 << (a * ix.n + b) for a, b in sides), ix.hull_mask
+
+
+def _triangulations(ix: _Index, cap: int | None = None, jobs: int = 1) -> Iterator[int]:
+    """Yield every triangulation bitmask of the indexed set, each once, in
+    no promised order; raise RuntimeError once more than `cap` have come.
 
     A depth first search over partial triangulations.  A state is a pair
     (open, mask): `mask` holds the edges drawn so far, and `open` the
@@ -303,25 +314,33 @@ def _enumerate_masks(ix: _Index, cap: int | None = None, jobs: int = 1) -> list[
     left of an edge is determined by the triangulation, so each one has
     exactly one derivation, and the search keeps no record of what it
     has seen.  With jobs > 1 the states two steps below the root are
-    searched by worker processes.  Results are kept on the index.
+    searched by worker processes, each returning at most cap + 1 masks.
     """
-    if ix.masks is None:
-        sides = zip(ix.hull, ix.hull[1:] + ix.hull[:1])
-        states = [(sum(1 << (a * ix.n + b) for a, b in sides), ix.hull_mask)]
-        if jobs > 1:
-            for _ in range(2):
-                states = [s for o, m in states for s in (_steps(ix, o, m) if o else [(o, m)])]
-        workers = _worker_count(jobs, len(states))
-        if workers > 1:
-            ix.cross  # built before the workers fork
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(_triangulations_task, repeat(ix.pts), states, repeat(cap)))
-        else:
-            parts = [_triangulations_below(ix, o, m, [], cap) for o, m in states]
-        ix.masks = sorted(m for part in parts for m in part)
-    if cap is not None and len(ix.masks) > cap:
-        raise RuntimeError(f"more than cap={cap} triangulations")
-    return ix.masks
+    states = [_root(ix)]
+    if jobs > 1:
+        for _ in range(2):
+            states = [s for o, m in states for s in (_steps(ix, o, m) if o else [(o, m)])]
+    workers = _worker_count(jobs, len(states))
+    if workers > 1:
+        ix.cross  # built before the workers fork
+        pool = ProcessPoolExecutor(max_workers=workers)
+        limit = None if cap is None else cap + 1
+        masks = chain.from_iterable(
+            pool.map(_triangulations_task, repeat(ix.pts), states, repeat(limit))
+        )
+    else:
+        pool = nullcontext()
+        masks = _masks_below(ix, states)
+    with pool:
+        for count, mask in enumerate(masks, 1):
+            if cap is not None and count > cap:
+                raise RuntimeError(f"more than cap={cap} triangulations")
+            yield mask
+
+
+def _enumerate_masks(ix: _Index, cap: int | None = None, jobs: int = 1) -> list[int]:
+    """All triangulation bitmasks of the indexed set, sorted."""
+    return sorted(_triangulations(ix, cap, jobs))
 
 
 def _steps(ix: _Index, opened: int, mask: int) -> list[tuple[int, int]]:
@@ -365,24 +384,21 @@ def _steps(ix: _Index, opened: int, mask: int) -> list[tuple[int, int]]:
     return out
 
 
-def _triangulations_below(
-    ix: _Index, opened: int, mask: int, found: list[int], cap: int | None
-) -> list[int]:
-    """`found`, with every triangulation below the state appended."""
-    if opened:
-        for o, m in _steps(ix, opened, mask):
-            _triangulations_below(ix, o, m, found, cap)
-    else:
-        found.append(mask)
-        if cap is not None and len(found) > cap:
-            raise RuntimeError(f"more than cap={cap} triangulations")
-    return found
+def _masks_below(ix: _Index, states: list[tuple[int, int]]) -> Iterator[int]:
+    """Every triangulation below the states, depth first, off a stack."""
+    stack = list(states)
+    while stack:
+        opened, mask = stack.pop()
+        if opened:
+            stack += _steps(ix, opened, mask)
+        else:
+            yield mask
 
 
 def _triangulations_task(
-    points: tuple[Point, ...], state: tuple[int, int], cap: int | None
+    points: tuple[Point, ...], state: tuple[int, int], limit: int | None
 ) -> list[int]:
-    return _triangulations_below(_index_for(points), *state, [], cap)
+    return list(islice(_masks_below(_index_for(points), [state]), limit))
 
 
 def enumerate_geometric_triangulations(
@@ -395,9 +411,35 @@ def enumerate_geometric_triangulations(
 
 
 def count_geometric_triangulations(
-    ps: PointSet, cap: int | None = None, max_n: int | None = None, jobs: int = 1
+    ps: PointSet, cap: int | None = None, max_n: int | None = None
 ) -> int:
-    return len(_enumerate_masks(_guarded_index(ps, max_n), cap=cap, jobs=jobs))
+    """Number of geometric triangulations of ps, counted without listing
+    them: the search of `_triangulations`, memoized on the open edges.
+
+    That is exact because `_steps` accepts an apex c exactly when the
+    triangle abc lies in the unclaimed region.  A drawn edge is open in
+    the direction whose left side is unclaimed, so a side of abc that is
+    drawn but not open has its left side claimed.  abc holds no point, and
+    drawn edges cross no drawn edge, so a drawn edge that enters abc
+    crosses one of its new sides, and the crossing test rejects c.  The
+    open edges bound the unclaimed region, so the states below a state,
+    and the number of its completions, depend on its open set alone.
+    Raises RuntimeError if the number exceeds `cap`."""
+    ix = _guarded_index(ps, max_n)
+    memo: dict[int, int] = {}
+
+    def completions(opened: int, mask: int) -> int:
+        if not opened:
+            return 1
+        count = memo.get(opened)
+        if count is None:
+            count = memo[opened] = sum(completions(o, m) for o, m in _steps(ix, opened, mask))
+        return count
+
+    total = completions(*_root(ix))
+    if cap is not None and total > cap:
+        raise RuntimeError(f"more than cap={cap} triangulations")
+    return total
 
 
 # -- classification ----------------------------------------------------------
@@ -414,7 +456,7 @@ def classify_drawings(
     ix = _guarded_index(ps, max_n)
     code = _mask_coder(ix)
     hist: dict[bytes, int] = defaultdict(int)
-    for mask in _enumerate_masks(ix, jobs=jobs):
+    for mask in _triangulations(ix, jobs=jobs):
         hist[code(mask)] += 1
     return dict(hist)
 
@@ -587,7 +629,7 @@ def count_drawings(
         deg_ms = sorted(len(r) for r in t.rotations)
         code = _mask_coder(ix)
         found = []
-        for mask in _enumerate_masks(ix, jobs=jobs):
+        for mask in _triangulations(ix, jobs=jobs):
             degs = [(mask & ix.incident[v]).bit_count() for v in range(ix.n)]
             if [degs[p] for p in hull] != corner_deg:
                 continue
@@ -595,6 +637,7 @@ def count_drawings(
                 continue
             if code(mask) == target:
                 found.append(mask)
+        found.sort()
     else:
         raise ValueError(f"unknown backend {backend!r}")
     if witnesses:

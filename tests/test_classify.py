@@ -1,4 +1,5 @@
-"""Drawing classes: the cached rotation coder, pinned histograms."""
+"""Drawing classes: the cached rotation coder, pinned histograms, and the
+band's drawings under the three rotations of its outer face."""
 
 import hashlib
 from collections import Counter
@@ -6,12 +7,13 @@ from collections import Counter
 import pytest
 
 from conftest import random_set
-from redraw.comb import canonical_code
+from redraw.comb import CombTriangulation, build_k_nested_regular, canonical_code
 from redraw.drawings import (
     _index_for,
     _mask_coder,
     classify_drawings,
     classify_to_csv,
+    count_drawings,
     enumerate_geometric_triangulations,
     to_comb,
 )
@@ -59,3 +61,18 @@ def test_no_structure_reaches_the_band_thresholds_on_nested_sets(n, classes, lar
     hist = classify_drawings(gen_nested_triangles(n))
     assert len(hist) == classes
     assert max(hist.values()) == largest
+
+
+@pytest.mark.parametrize("n, distinct", [(6, 2), (9, 4), (12, 8)])
+def test_band_rotations_share_their_drawings(n, distinct):
+    # Pinning the band's outer face to the hull in each of its three
+    # rotations gives drawings with the same edge sets: as distinct
+    # geometric triangulations the band still has 2, 4 and 8, below
+    # criterion 3's 4 and 8.
+    band, ps = build_k_nested_regular(n), gen_nested_triangles(n)
+    outer = band.outer_face
+    edge_sets = set()
+    for k in range(3):
+        rotated = CombTriangulation(band.num_vertices, outer[k:] + outer[:k], band.rotations)
+        edge_sets |= {g.edges for g in count_drawings(rotated, ps, witnesses=True)[1]}
+    assert len(edge_sets) == distinct

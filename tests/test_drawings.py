@@ -128,6 +128,10 @@ def test_counts_follow_catalan_in_convex_position(pentagon, hexagon):
     assert count_geometric_triangulations(PointSet(SQUARE)) == 2
     assert count_geometric_triangulations(pentagon) == 5
     assert count_geometric_triangulations(hexagon) == 14
+    for n in range(7, 16):
+        convex = PointSet(tuple((i, i * i) for i in range(n)))
+        catalan = math.comb(2 * n - 4, n - 2) // (n - 1)
+        assert count_geometric_triangulations(convex, max_n=15) == catalan
 
 
 def test_enumeration_is_deterministic(pentagon):
@@ -180,7 +184,7 @@ def test_jobs_start_at_most_one_worker_per_core_and_task(monkeypatch):
     monkeypatch.setattr(drawings, "ProcessPoolExecutor", InProcess)
     monkeypatch.setattr(drawings.os, "cpu_count", lambda: 4)
     heptagon = PointSet(tuple((i, i * i + 5) for i in range(7)))  # cold index
-    assert count_geometric_triangulations(heptagon, jobs=100_000) == 42
+    assert len(list(enumerate_geometric_triangulations(heptagon, jobs=100_000))) == 42
     assert count_polygonalizations(gen_double_chain(4, 4), jobs=100_000) == 162
     assert count_polygonalizations(PointSet(SQUARE), jobs=100_000) == 1
     assert count_polygonalizations(PointSet(SQUARE), jobs=1) == 1

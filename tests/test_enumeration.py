@@ -1,14 +1,21 @@
-"""Enumeration of geometric triangulations against a reference that reads
-no point-set index table: every maximal crossing-free set of segments,
-found with `segments_cross` alone."""
+"""Enumeration and counting of geometric triangulations against a
+reference that reads no point-set index table, every maximal crossing-free
+set of segments found with `segments_cross` alone, and the count against
+the closed form on double chains."""
 
 from itertools import combinations
+from math import comb
 
 import pytest
 
 from conftest import random_set
 import redraw.drawings as drawings
-from redraw.drawings import _enumerate_masks, _Index, enumerate_geometric_triangulations
+from redraw.drawings import (
+    _enumerate_masks,
+    _Index,
+    count_geometric_triangulations,
+    enumerate_geometric_triangulations,
+)
 from redraw.geometry import segments_cross
 from redraw.pointsets import PointSet, gen_double_chain, gen_nested_triangles
 
@@ -57,17 +64,20 @@ def test_enumeration_matches_maximal_plane_graphs(ps):
     reference = sorted(sorted(s) for s in maximal_plane_graphs(ps))
     enumerated = sorted(sorted(g.edges) for g in enumerate_geometric_triangulations(ps))
     assert enumerated == reference
+    count = len(reference)
+    assert count_geometric_triangulations(ps, cap=count) == count
+    with pytest.raises(RuntimeError, match=f"more than cap={count - 1} triangulations"):
+        count_geometric_triangulations(ps, cap=count - 1)
     # on an index of its own, so that the search runs here: each
     # triangulation is found once, and the cap is exact
     ix = _Index(ps.points)
-    count = len(reference)
     with pytest.raises(RuntimeError, match=f"more than cap={count - 1} triangulations"):
         _enumerate_masks(ix, cap=count - 1)
     masks = _enumerate_masks(ix, cap=count)
     assert len(masks) == len(set(masks)) == count
     assert masks == sorted(masks)
     with pytest.raises(RuntimeError, match=f"more than cap={count - 1} triangulations"):
-        _enumerate_masks(ix, cap=count - 1)  # from the stored masks
+        _enumerate_masks(ix, cap=count - 1)  # searched again: the index keeps no masks
 
 
 def test_parallel_cap_is_exact():
@@ -75,7 +85,7 @@ def test_parallel_cap_is_exact():
     with pytest.raises(RuntimeError, match="more than cap=131 triangulations"):
         _enumerate_masks(_Index(octagon.points), cap=131, jobs=2)  # caught by the total
     with pytest.raises(RuntimeError, match="more than cap=5 triangulations"):
-        _enumerate_masks(_Index(octagon.points), cap=5, jobs=2)  # raised in a worker
+        _enumerate_masks(_Index(octagon.points), cap=5, jobs=2)  # a worker stops at 6
     assert len(_enumerate_masks(_Index(octagon.points), cap=132, jobs=2)) == 132
 
 
@@ -97,3 +107,16 @@ def test_every_state_of_the_search_completes(monkeypatch, ps):
     monkeypatch.setattr(drawings, "_steps", spy)
     assert len(_enumerate_masks(_Index(ps.points))) > 0
     assert not dead
+
+
+def catalan(k: int) -> int:
+    return comb(2 * k, k) // (k + 1)
+
+
+@pytest.mark.parametrize("t, l", [(t, l) for t in range(2, 11) for l in range(t, 11)] + [(12, 12)])
+def test_count_follows_the_double_chain_closed_form(t, l):
+    # The forced cycle splits the hull into two convex polygons, one per
+    # chain with its hull edge, and the region between the chains, which
+    # triangulates like a lattice path (Garcia, Noy and Tejel, CGTA 2000).
+    expected = catalan(t - 2) * catalan(l - 2) * comb(t + l - 2, t - 1)
+    assert count_geometric_triangulations(gen_double_chain(t, l), max_n=24) == expected
