@@ -8,11 +8,14 @@ crossing free and realizes T's face structure, with T's outer face pinned
 to S's convex hull (outer_face[i] goes to hull[i], both counterclockwise).
 
 Two counting backends are kept deliberately independent so they can check
-each other.  The oracle backend enumerates every geometric triangulation
-of S exactly once, by a depth first search, and compares canonical codes;
-the direct backend searches label assignments, placing each interior vertex
-only where every face it closes is an empty counterclockwise triangle, and
-takes each complete assignment as a drawing without re-checking it.
+each other.  The oracle backend enumerates the geometric triangulations
+of S, each once, by a depth first search, and compares canonical codes.
+The search drops a partial triangulation as soon as a point has more
+edges than T allows there: a step only adds edges, so no triangulation
+below it could have T's degrees.  The direct backend searches label
+assignments, placing each interior vertex only where every face it closes
+is an empty counterclockwise triangle, and takes each complete assignment
+as a drawing without re-checking it.
 
 Triangulations are streamed from that search into each consumer, and
 nothing keeps them past the call: the oracle and the class histogram read
@@ -299,9 +302,13 @@ def _root(ix: _Index) -> tuple[int, int]:
     return sum(1 << (a * ix.n + b) for a, b in sides), ix.hull_mask
 
 
-def _triangulations(ix: _Index, cap: int | None = None, jobs: int = 1) -> Iterator[int]:
+def _triangulations(
+    ix: _Index, cap: int | None = None, jobs: int = 1, bound: list[int] | None = None
+) -> Iterator[int]:
     """Yield every triangulation bitmask of the indexed set, each once, in
     no promised order; raise RuntimeError once more than `cap` have come.
+    With a `bound`, skip every triangulation in which some point p has more
+    than bound[p] edges.
 
     A depth first search over partial triangulations.  A state is a pair
     (open, mask): `mask` holds the edges drawn so far, and `open` the
@@ -313,27 +320,33 @@ def _triangulations(ix: _Index, cap: int | None = None, jobs: int = 1) -> Iterat
     triangles cover the hull once: a triangulation.  The triangle on the
     left of an edge is determined by the triangulation, so each one has
     exactly one derivation, and the search keeps no record of what it
-    has seen.  With jobs > 1 the states two steps below the root are
-    searched by worker processes, each returning at most cap + 1 masks.
+    has seen.  A step only adds edges, so below a state where a point
+    already exceeds its bound every triangulation does too, and the search
+    drops the state (`_steps_within`).  With jobs > 1 the states two steps
+    below the root are searched by worker processes, each returning at
+    most cap + 1 masks.
     """
     states = [_root(ix)]
     if jobs > 1:
+        steps = _steps_within(bound)
         for _ in range(2):
-            states = [s for o, m in states for s in (_steps(ix, o, m) if o else [(o, m)])]
+            states = [s for o, m in states for s in (steps(ix, o, m) if o else [(o, m)])]
     workers = _worker_count(jobs, len(states))
     if workers > 1:
         ix.cross  # built before the workers fork
         pool = ProcessPoolExecutor(max_workers=workers)
         limit = None if cap is None else cap + 1
-        masks = chain.from_iterable(
-            pool.map(_triangulations_task, repeat(ix.pts), states, repeat(limit))
-        )
+        masks = chain.from_iterable(pool.map(
+            _triangulations_task, repeat(ix.pts), states, repeat(limit), repeat(bound)
+        ))
     else:
         pool = nullcontext()
-        masks = _masks_below(ix, states)
+        masks = _masks_below(ix, states, bound)
     with pool:
         for count, mask in enumerate(masks, 1):
             if cap is not None and count > cap:
+                if workers > 1:  # or leaving `with` waits for every queued search
+                    pool.shutdown(cancel_futures=True)
                 raise RuntimeError(f"more than cap={cap} triangulations")
             yield mask
 
@@ -384,21 +397,54 @@ def _steps(ix: _Index, opened: int, mask: int) -> list[tuple[int, int]]:
     return out
 
 
-def _masks_below(ix: _Index, states: list[tuple[int, int]]) -> Iterator[int]:
-    """Every triangulation below the states, depth first, off a stack."""
+def _steps_within(
+    bound: list[int] | None,
+) -> Callable[[_Index, int, int], list[tuple[int, int]]]:
+    """`_steps`, or with a bound, `_steps` less the states in which an
+    endpoint p of a new edge has more than bound[p] edges.  The choice is
+    made once per search, so an unbounded search pays nothing for it."""
+    if bound is None:
+        return _steps
+
+    def steps(ix: _Index, opened: int, mask: int) -> list[tuple[int, int]]:
+        pairs, incident = ix.pairs, ix.incident
+        kept = []
+        for o, m in _steps(ix, opened, mask):
+            new = m ^ mask
+            while new:
+                low = new & -new
+                new ^= low
+                a, b = pairs[low.bit_length() - 1]
+                if ((m & incident[a]).bit_count() > bound[a]
+                        or (m & incident[b]).bit_count() > bound[b]):
+                    break
+            else:
+                kept.append((o, m))
+        return kept
+
+    return steps
+
+
+def _masks_below(
+    ix: _Index, states: list[tuple[int, int]], bound: list[int] | None = None
+) -> Iterator[int]:
+    """Every triangulation below the states within `bound`, depth first,
+    off a stack."""
+    steps = _steps_within(bound)
     stack = list(states)
     while stack:
         opened, mask = stack.pop()
         if opened:
-            stack += _steps(ix, opened, mask)
+            stack += steps(ix, opened, mask)
         else:
             yield mask
 
 
 def _triangulations_task(
-    points: tuple[Point, ...], state: tuple[int, int], limit: int | None
+    points: tuple[Point, ...], state: tuple[int, int], limit: int | None,
+    bound: list[int] | None,
 ) -> list[int]:
-    return list(islice(_masks_below(_index_for(points), [state]), limit))
+    return list(islice(_masks_below(_index_for(points), [state], bound), limit))
 
 
 def enumerate_geometric_triangulations(
@@ -613,9 +659,13 @@ def count_drawings(
     structure is t, boundary pinned (outer_face[i] on hull[i]).
 
     backend "direct" searches label assignments, each of which is a
-    distinct drawing; backend "oracle" enumerates all triangulations of
-    ps, after the enumeration guard, and compares canonical codes.  The
-    two share no counting logic.
+    distinct drawing; backend "oracle" enumerates the triangulations of
+    ps, after the enumeration guard, and compares canonical codes.  Its
+    search skips every partial triangulation in which some point already
+    has more edges than t has at the matching hull vertex, or, off the
+    hull, than t's largest degree: search steps only add edges, so every
+    triangulation below such a state would fail the degree tests.  The
+    two backends share no counting logic.
     """
     hull = _check_compatible(t, ps)
     wits: list[GeomTriangulation] | None = None
@@ -627,9 +677,12 @@ def count_drawings(
         target = canonical_code(t)
         corner_deg = [t.degree(v) for v in t.outer_face]
         deg_ms = sorted(len(r) for r in t.rotations)
+        bound = [deg_ms[-1]] * ix.n
+        for p, d in zip(hull, corner_deg):
+            bound[p] = d
         code = _mask_coder(ix)
         found = []
-        for mask in _triangulations(ix, jobs=jobs):
+        for mask in _triangulations(ix, jobs=jobs, bound=bound):
             degs = [(mask & ix.incident[v]).bit_count() for v in range(ix.n)]
             if [degs[p] for p in hull] != corner_deg:
                 continue
@@ -671,7 +724,11 @@ def count_polygonalizations(
     workers = _worker_count(jobs, len(seconds))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            total = sum(pool.map(_polygon_count_task, repeat(ix.pts), seconds, repeat(cap)))
+            try:
+                total = sum(pool.map(_polygon_count_task, repeat(ix.pts), seconds, repeat(cap)))
+            except RuntimeError:  # a worker's cap: leaving `with` would wait for the rest
+                pool.shutdown(cancel_futures=True)
+                raise
     else:
         total = 0
         for v in seconds:

@@ -141,12 +141,9 @@ def test_enumeration_is_deterministic(pentagon):
     assert len(set(a)) == 5
 
 
-def test_parallel_enumeration_agrees(monkeypatch):
-    # No other test uses this convex 9-gon, so the jobs=2 run starts from a
-    # cold index, and its 429 triangulations are split over the workers.
-    # The translated copy has the same labels but an index of its own.
-    nonagon = PointSet(tuple((i, i * i + 3) for i in range(9)))
-    shifted = PointSet(tuple((x + 1, y) for x, y in nonagon.points))
+def _spy_on_pools(monkeypatch) -> list[str]:
+    """The names of the functions mapped over worker pools from now on,
+    with two cores reported, so that jobs=2 starts a pool on any box."""
     mapped = []
 
     class Spy(ProcessPoolExecutor):
@@ -156,6 +153,16 @@ def test_parallel_enumeration_agrees(monkeypatch):
 
     monkeypatch.setattr(drawings, "ProcessPoolExecutor", Spy)
     monkeypatch.setattr(drawings.os, "cpu_count", lambda: 2)
+    return mapped
+
+
+def test_parallel_enumeration_agrees(monkeypatch):
+    # No other test uses this convex 9-gon, so the jobs=2 run starts from a
+    # cold index, and its 429 triangulations are split over the workers.
+    # The translated copy has the same labels but an index of its own.
+    nonagon = PointSet(tuple((i, i * i + 3) for i in range(9)))
+    shifted = PointSet(tuple((x + 1, y) for x, y in nonagon.points))
+    mapped = _spy_on_pools(monkeypatch)
     par = [g.edges for g in enumerate_geometric_triangulations(nonagon, jobs=2)]
     seq = [g.edges for g in enumerate_geometric_triangulations(shifted)]
     assert mapped
@@ -305,17 +312,51 @@ def test_witnesses_realize_the_structure():
 
 
 def test_backends_agree_per_class_on_a_small_set():
-    ps = PointSet(AD_HOC_SETS[2])
-    hist = classify_drawings(ps)
-    seen = set()
-    for g in enumerate_geometric_triangulations(ps):
-        t = to_comb(g)
-        code = canonical_code(t)
-        if code in seen:
-            continue
-        seen.add(code)
-        assert count_drawings(t, ps)[0] == hist[code]
-        assert count_drawings(t, ps, backend="oracle")[0] == hist[code]
+    # on every class, so the oracle's degree prune loses no drawing
+    for ps in [PointSet(AD_HOC_SETS[2]), gen_double_chain(4, 4), gen_double_chain(3, 5),
+               gen_nested_triangles(9), random_set(1, 8)]:
+        hist = classify_drawings(ps)
+        seen = set()
+        for g in enumerate_geometric_triangulations(ps):
+            t = to_comb(g)
+            code = canonical_code(t)
+            if code in seen:
+                continue
+            seen.add(code)
+            assert count_drawings(t, ps)[0] == hist[code]
+            assert count_drawings(t, ps, backend="oracle")[0] == hist[code]
+        assert len(seen) == len(hist)
+
+
+def test_oracle_prunes_by_degree(monkeypatch):
+    ps = gen_double_chain(8, 4)
+    assert count_geometric_triangulations(ps) == 31680
+    calls = 0
+    steps = drawings._steps
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return steps(*args)
+
+    monkeypatch.setattr(drawings, "_steps", counting)
+    assert count_drawings(build_k_nested_double_chain(1), ps, backend="oracle")[0] == 1
+    assert 0 < calls < 31680  # 7,864 states expanded
+
+
+@pytest.mark.parametrize("split,drawn", [((8, 4), 1), ((6, 6), 3), ((5, 7), 2)])
+def test_parallel_oracle_agrees(monkeypatch, split, drawn):
+    # the workers search the degree-pruned subtrees below two steps
+    mapped = _spy_on_pools(monkeypatch)
+    t1 = build_k_nested_double_chain(1)
+    ps = gen_double_chain(*split)
+    par, par_wits = count_drawings(t1, ps, backend="oracle", witnesses=True, jobs=2)
+    seq, seq_wits = count_drawings(t1, ps, backend="oracle", witnesses=True)
+    direct, direct_wits = count_drawings(t1, ps, witnesses=True)
+    assert mapped == ["_triangulations_task"]
+    assert par == seq == direct == drawn
+    assert [w.edges for w in par_wits] == [w.edges for w in seq_wits]
+    assert [w.edges for w in par_wits] == [w.edges for w in direct_wits]
 
 
 def test_unknown_backend_rejected(five_point_set):
