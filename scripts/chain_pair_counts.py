@@ -15,9 +15,7 @@ from redraw.pointsets import gen_double_chain
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--jobs", type=int, default=1)
-    args = ap.parse_args()
+    argparse.ArgumentParser(description=__doc__).parse_args()
 
     t1 = build_k_nested_double_chain(1)
     m = t1.num_vertices
@@ -27,7 +25,7 @@ def main() -> None:
         ps = gen_double_chain(t, l)
         tic = time.monotonic()
         d = count_drawings(t1, ps, backend="direct")[0]
-        o = count_drawings(t1, ps, backend="oracle", jobs=args.jobs)[0]
+        o = count_drawings(t1, ps, backend="oracle")[0]
         total = count_geometric_triangulations(ps)
         secs = time.monotonic() - tic
         flag = "" if d == o else "  MISMATCH"

@@ -111,7 +111,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         return 0
     ps = _load_pointset(args)
     if args.stream:
-        gen = enumerate_geometric_triangulations(ps, args.cap, args.max_n, args.jobs)
+        gen = enumerate_geometric_triangulations(ps, args.cap, args.max_n)
         _emit_lines(args, (gt.to_json() for gt in gen))
     else:
         _emit(args, str(count_geometric_triangulations(ps, args.cap, args.max_n)))
@@ -126,10 +126,7 @@ def _cmd_count_drawings(args: argparse.Namespace) -> int:
         t = from_rotation_json(_read(args.triangulation))
         ps = _load_pointset(args)
     backends = ["direct", "oracle"] if args.backend == "both" else [args.backend]
-    counts = [
-        count_drawings(t, ps, backend=b, max_n=args.max_n, jobs=args.jobs)[0]
-        for b in backends
-    ]
+    counts = [count_drawings(t, ps, backend=b, max_n=args.max_n)[0] for b in backends]
     if len(counts) == 2 and counts[0] != counts[1]:
         _fail(
             "BackendMismatch",
@@ -238,7 +235,7 @@ def _parser() -> _Parser:
     mode.add_argument("--pointset", help="point set JSON file (geometric mode)")
     mode.add_argument("--interior", type=int, help="interior vertex count (abstract mode)")
     sp.add_argument("--stream", action="store_true", help="print one JSON per line")
-    common(sp, _cmd_enumerate, jobs=True, cap=True)
+    common(sp, _cmd_enumerate, cap=True)
 
     sp = sub.add_parser("count-drawings", help="count drawings of a triangulation on a point set")
     sp.add_argument("--triangulation", help="rotation system JSON file")
@@ -251,7 +248,7 @@ def _parser() -> _Parser:
         default="direct",
         help="direct assignment search, exhaustive oracle, or both cross checked",
     )
-    common(sp, _cmd_count_drawings, jobs=True)
+    common(sp, _cmd_count_drawings)
 
     sp = sub.add_parser("classify", help="histogram of drawing classes of a point set")
     sp.add_argument("--pointset", required=True)

@@ -21,6 +21,8 @@ Triangulations are streamed from that search into each consumer, and
 nothing keeps them past the call: the oracle and the class histogram read
 the stream, the public enumerator sorts its own copy, and the triangulation
 count memoizes the search on its open edges instead of listing anything.
+What outlives a call is the per point set index, tables of the points
+alone, and the process keeps those of the eight sets it used last.
 
 Exhaustive operations are guarded: they are meant for desk scale
 instances, and the guards are arguments, not constants baked into the
@@ -32,11 +34,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from collections import defaultdict
+from collections import Counter, defaultdict
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
-from itertools import chain, combinations, islice, repeat
+from functools import lru_cache
+from itertools import combinations, repeat
 from typing import Callable, Iterator
 
 from .comb import (
@@ -235,16 +237,13 @@ class _Index:
         return out
 
 
-_INDEXES: dict[tuple[Point, ...], _Index] = {}
-
-
+@lru_cache(maxsize=8)
 def _index_for(points: tuple[Point, ...]) -> _Index:
-    """The index of a point set, built on first use.  Pool workers look it
-    up by the same points; under fork they inherit the parent's entry."""
-    ix = _INDEXES.get(points)
-    if ix is None:
-        ix = _INDEXES[points] = _Index(points)
-    return ix
+    """The index of a point set, built on first use and kept while it is
+    among the eight last used, so that a process touching many sets holds
+    a bounded number of tables.  Pool workers look it up by the same
+    points; under fork they inherit the parent's entries."""
+    return _Index(points)
 
 
 def _worker_count(jobs: int, tasks: int) -> int:
@@ -303,16 +302,20 @@ def _root(ix: _Index) -> tuple[int, int]:
 
 
 def _triangulations(
-    ix: _Index, cap: int | None = None, jobs: int = 1, bound: list[int] | None = None
+    ix: _Index,
+    cap: int | None = None,
+    bound: list[int] | None = None,
+    start: tuple[int, int] | None = None,
 ) -> Iterator[int]:
     """Yield every triangulation bitmask of the indexed set, each once, in
     no promised order; raise RuntimeError once more than `cap` have come.
     With a `bound`, skip every triangulation in which some point p has more
-    than bound[p] edges.
+    than bound[p] edges.  With a `start` state, yield only the
+    triangulations below it.
 
-    A depth first search over partial triangulations.  A state is a pair
-    (open, mask): `mask` holds the edges drawn so far, and `open` the
-    directed edges a->b, as bits a*n+b, whose left side is still
+    A depth first search over partial triangulations, off a stack.  A
+    state is a pair (open, mask): `mask` holds the edges drawn so far, and
+    `open` the directed edges a->b, as bits a*n+b, whose left side is still
     unclaimed.  The root has the hull edges, counterclockwise, open.  A
     step closes the lowest open edge with one of its empty
     counterclockwise triangles (`_steps`).  The open edges are the
@@ -322,38 +325,25 @@ def _triangulations(
     exactly one derivation, and the search keeps no record of what it
     has seen.  A step only adds edges, so below a state where a point
     already exceeds its bound every triangulation does too, and the search
-    drops the state (`_steps_within`).  With jobs > 1 the states two steps
-    below the root are searched by worker processes, each returning at
-    most cap + 1 masks.
+    drops the state (`_steps_within`).
     """
-    states = [_root(ix)]
-    if jobs > 1:
-        steps = _steps_within(bound)
-        for _ in range(2):
-            states = [s for o, m in states for s in (steps(ix, o, m) if o else [(o, m)])]
-    workers = _worker_count(jobs, len(states))
-    if workers > 1:
-        ix.cross  # built before the workers fork
-        pool = ProcessPoolExecutor(max_workers=workers)
-        limit = None if cap is None else cap + 1
-        masks = chain.from_iterable(pool.map(
-            _triangulations_task, repeat(ix.pts), states, repeat(limit), repeat(bound)
-        ))
-    else:
-        pool = nullcontext()
-        masks = _masks_below(ix, states, bound)
-    with pool:
-        for count, mask in enumerate(masks, 1):
-            if cap is not None and count > cap:
-                if workers > 1:  # or leaving `with` waits for every queued search
-                    pool.shutdown(cancel_futures=True)
-                raise RuntimeError(f"more than cap={cap} triangulations")
-            yield mask
+    steps = _steps_within(bound)
+    stack = [start or _root(ix)]
+    count = 0
+    while stack:
+        opened, mask = stack.pop()
+        if opened:
+            stack += steps(ix, opened, mask)
+            continue
+        count += 1
+        if cap is not None and count > cap:
+            raise RuntimeError(f"more than cap={cap} triangulations")
+        yield mask
 
 
-def _enumerate_masks(ix: _Index, cap: int | None = None, jobs: int = 1) -> list[int]:
+def _enumerate_masks(ix: _Index, cap: int | None = None) -> list[int]:
     """All triangulation bitmasks of the indexed set, sorted."""
-    return sorted(_triangulations(ix, cap, jobs))
+    return sorted(_triangulations(ix, cap))
 
 
 def _steps(ix: _Index, opened: int, mask: int) -> list[tuple[int, int]]:
@@ -425,34 +415,12 @@ def _steps_within(
     return steps
 
 
-def _masks_below(
-    ix: _Index, states: list[tuple[int, int]], bound: list[int] | None = None
-) -> Iterator[int]:
-    """Every triangulation below the states within `bound`, depth first,
-    off a stack."""
-    steps = _steps_within(bound)
-    stack = list(states)
-    while stack:
-        opened, mask = stack.pop()
-        if opened:
-            stack += steps(ix, opened, mask)
-        else:
-            yield mask
-
-
-def _triangulations_task(
-    points: tuple[Point, ...], state: tuple[int, int], limit: int | None,
-    bound: list[int] | None,
-) -> list[int]:
-    return list(islice(_masks_below(_index_for(points), [state], bound), limit))
-
-
 def enumerate_geometric_triangulations(
-    ps: PointSet, cap: int | None = None, max_n: int | None = None, jobs: int = 1
+    ps: PointSet, cap: int | None = None, max_n: int | None = None
 ) -> Iterator[GeomTriangulation]:
     """Yield every geometric triangulation of ps, deterministic order."""
     ix = _guarded_index(ps, max_n)
-    for mask in _enumerate_masks(ix, cap=cap, jobs=jobs):
+    for mask in _enumerate_masks(ix, cap=cap):
         yield GeomTriangulation(ps, _mask_edges(mask, ix))
 
 
@@ -498,13 +466,40 @@ def classify_drawings(
 
     Keys are codes of the induced combinatorial triangulations (rooted at
     the hull), values how many geometric triangulations realize each.
+
+    With jobs > 1 the search is split at the states two steps below the
+    root.  Worker processes, at most one per CPU, each take one state at
+    a time, search below it and code what they find; the parent only adds
+    up their histograms.
     """
     ix = _guarded_index(ps, max_n)
+    states = [_root(ix)]
+    if jobs > 1:
+        for _ in range(2):
+            states = [s for o, m in states for s in (_steps(ix, o, m) if o else [(o, m)])]
+    workers = _worker_count(jobs, len(states))
+    if workers == 1:
+        return _class_histogram(ix, states)
+    ix.cross, ix.angular  # built before the workers fork
+    hist: Counter[bytes] = Counter()
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        for part in pool.map(_class_histogram_task, repeat(ix.pts), states):
+            hist.update(part)
+    return dict(hist)
+
+
+def _class_histogram(ix: _Index, states: list[tuple[int, int]]) -> dict[bytes, int]:
+    """Histogram of canonical codes over the triangulations below the states."""
     code = _mask_coder(ix)
     hist: dict[bytes, int] = defaultdict(int)
-    for mask in _triangulations(ix, jobs=jobs):
-        hist[code(mask)] += 1
+    for state in states:
+        for mask in _triangulations(ix, start=state):
+            hist[code(mask)] += 1
     return dict(hist)
+
+
+def _class_histogram_task(points: tuple[Point, ...], state: tuple[int, int]) -> dict[bytes, int]:
+    return _class_histogram(_index_for(points), [state])
 
 
 def classify_to_csv(hist: dict[bytes, int]) -> str:
@@ -653,7 +648,6 @@ def count_drawings(
     backend: str = "direct",
     witnesses: bool = False,
     max_n: int | None = None,
-    jobs: int = 1,
 ) -> tuple[int, list[GeomTriangulation] | None]:
     """Number of geometric triangulations of ps whose combinatorial
     structure is t, boundary pinned (outer_face[i] on hull[i]).
@@ -682,7 +676,7 @@ def count_drawings(
             bound[p] = d
         code = _mask_coder(ix)
         found = []
-        for mask in _triangulations(ix, jobs=jobs, bound=bound):
+        for mask in _triangulations(ix, bound=bound):
             degs = [(mask & ix.incident[v]).bit_count() for v in range(ix.n)]
             if [degs[p] for p in hull] != corner_deg:
                 continue

@@ -103,8 +103,6 @@ def test_enumerate_pointset_stream(tmp_path):
     assert count.returncode == 0 and s.returncode == 0
     lines = s.stdout.splitlines()
     assert len(lines) == int(count.stdout) == 80
-    par = run_cli("enumerate", "--pointset", str(f), "--stream", "--jobs", "2")
-    assert par.returncode == 0 and par.stdout == s.stdout
     for line in lines:
         g = GeomTriangulation.from_json(line)
         assert g.pointset == gen_double_chain(4, 4)
@@ -209,7 +207,7 @@ def test_guard_env_variable(tmp_path):
     assert "guard" in json.loads(r.stderr)["message"]
 
 
-def test_usage_errors_exit_two():
+def test_usage_errors_exit_two(tmp_path):
     r = run_cli("enumerate")
     assert r.returncode == 2
     assert json.loads(r.stderr)["error"] == "UsageError"
@@ -222,6 +220,8 @@ def test_usage_errors_exit_two():
         ("gen", "foo"),
         ("bounds", "--constraint", "x"),
         ("bounds", "--tolerance", "1e-9"),
+        ("enumerate", "--interior", "2", "--jobs", "2"),
+        ("count-drawings", "--t", "4", "--l", "4", "--jobs", "2"),
     ):
         r = run_cli(*args)
         assert r.returncode == 2, args
@@ -229,6 +229,14 @@ def test_usage_errors_exit_two():
         lines = r.stderr.splitlines()
         assert len(lines) == 1, args
         assert json.loads(lines[0])["error"] == "UsageError"
+    # --jobs stays on classify and polygons, and changes no output byte
+    f = tmp_path / "ps.json"
+    f.write_text(gen_double_chain(4, 4).to_json())
+    for command in ("classify", "polygons"):
+        seq = run_cli(command, "--pointset", str(f), "--jobs", "1")
+        par = run_cli(command, "--pointset", str(f), "--jobs", "2")
+        assert seq.returncode == par.returncode == 0, command
+        assert par.stdout == seq.stdout and par.stderr == seq.stderr == "", command
 
 
 def test_non_integer_guard_env_is_a_usage_error():

@@ -163,10 +163,10 @@ def test_parallel_enumeration_agrees(monkeypatch):
     nonagon = PointSet(tuple((i, i * i + 3) for i in range(9)))
     shifted = PointSet(tuple((x + 1, y) for x, y in nonagon.points))
     mapped = _spy_on_pools(monkeypatch)
-    par = [g.edges for g in enumerate_geometric_triangulations(nonagon, jobs=2)]
-    seq = [g.edges for g in enumerate_geometric_triangulations(shifted)]
-    assert mapped
-    assert par == seq and len(par) == 429
+    par = classify_drawings(nonagon, jobs=2)
+    assert mapped == ["_class_histogram_task"]
+    seq = classify_drawings(shifted)
+    assert par == seq and sum(par.values()) == 429
 
 
 def test_jobs_start_at_most_one_worker_per_core_and_task(monkeypatch):
@@ -191,7 +191,7 @@ def test_jobs_start_at_most_one_worker_per_core_and_task(monkeypatch):
     monkeypatch.setattr(drawings, "ProcessPoolExecutor", InProcess)
     monkeypatch.setattr(drawings.os, "cpu_count", lambda: 4)
     heptagon = PointSet(tuple((i, i * i + 5) for i in range(7)))  # cold index
-    assert len(list(enumerate_geometric_triangulations(heptagon, jobs=100_000))) == 42
+    assert sum(classify_drawings(heptagon, jobs=100_000).values()) == 42  # 14 states
     assert count_polygonalizations(gen_double_chain(4, 4), jobs=100_000) == 162
     assert count_polygonalizations(PointSet(SQUARE), jobs=100_000) == 1
     assert count_polygonalizations(PointSet(SQUARE), jobs=1) == 1
@@ -208,12 +208,23 @@ def test_enumeration_guard_and_override():
     assert count_geometric_triangulations(para15, max_n=15) > 0
 
 
-def test_oracle_guard_comes_before_the_index(monkeypatch):
-    monkeypatch.setattr(drawings, "_INDEXES", {})
+def test_oracle_guard_comes_before_the_index():
+    drawings._index_for.cache_clear()
     with pytest.raises(ValueError, match="guard 14"):
         count_drawings(build_k_nested_double_chain(2), gen_double_chain(10, 10),
                        backend="oracle")
-    assert drawings._INDEXES == {}
+    assert drawings._index_for.cache_info().currsize == 0
+
+
+def test_the_process_keeps_at_most_eight_indexes():
+    drawings._index_for.cache_clear()
+    sets = [PointSet(tuple((i, i * i + shift) for i in range(5))) for shift in range(9)]
+    for ps in sets:
+        assert count_geometric_triangulations(ps) == 5
+    assert drawings._index_for.cache_info().currsize == 8
+    first = drawings._index_for(sets[0].points)  # evicted, so built again
+    assert drawings._index_for.cache_info().misses == 10
+    assert first is drawings._index_for(sets[0].points)
 
 
 def test_enumeration_cap(five_point_set):
@@ -345,18 +356,13 @@ def test_oracle_prunes_by_degree(monkeypatch):
 
 
 @pytest.mark.parametrize("split,drawn", [((8, 4), 1), ((6, 6), 3), ((5, 7), 2)])
-def test_parallel_oracle_agrees(monkeypatch, split, drawn):
-    # the workers search the degree-pruned subtrees below two steps
-    mapped = _spy_on_pools(monkeypatch)
+def test_oracle_witnesses_equal_direct_witnesses(split, drawn):
     t1 = build_k_nested_double_chain(1)
     ps = gen_double_chain(*split)
-    par, par_wits = count_drawings(t1, ps, backend="oracle", witnesses=True, jobs=2)
-    seq, seq_wits = count_drawings(t1, ps, backend="oracle", witnesses=True)
+    oracle, oracle_wits = count_drawings(t1, ps, backend="oracle", witnesses=True)
     direct, direct_wits = count_drawings(t1, ps, witnesses=True)
-    assert mapped == ["_triangulations_task"]
-    assert par == seq == direct == drawn
-    assert [w.edges for w in par_wits] == [w.edges for w in seq_wits]
-    assert [w.edges for w in par_wits] == [w.edges for w in direct_wits]
+    assert oracle == direct == drawn
+    assert [w.edges for w in oracle_wits] == [w.edges for w in direct_wits]
 
 
 def test_unknown_backend_rejected(five_point_set):

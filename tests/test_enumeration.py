@@ -80,15 +80,6 @@ def test_enumeration_matches_maximal_plane_graphs(ps):
         _enumerate_masks(ix, cap=count - 1)  # searched again: the index keeps no masks
 
 
-def test_parallel_cap_is_exact():
-    octagon = convex(8)  # 132 triangulations
-    with pytest.raises(RuntimeError, match="more than cap=131 triangulations"):
-        _enumerate_masks(_Index(octagon.points), cap=131, jobs=2)  # caught by the total
-    with pytest.raises(RuntimeError, match="more than cap=5 triangulations"):
-        _enumerate_masks(_Index(octagon.points), cap=5, jobs=2)  # a worker stops at 6
-    assert len(_enumerate_masks(_Index(octagon.points), cap=132, jobs=2)) == 132
-
-
 @pytest.mark.parametrize(
     "ps", [convex(10), gen_double_chain(5, 5), gen_nested_triangles(9)], ids=lambda ps: f"{len(ps)}pts"
 )

@@ -48,11 +48,6 @@ def test_chain_pair_counts_script(tmp_path):
     assert [int(row[1]) for row in rows] == [0, 1, 2, 3, 2, 1, 0]
     assert all(row[1] == row[2] for row in rows)
     assert "MISMATCH" not in r.stdout
-    r2 = run_script("chain_pair_counts.py", "--jobs", "2", cwd=tmp_path)
-    assert r2.returncode == 0, r2.stderr
-    rows2 = [line.split() for line in r2.stdout.splitlines()[1:]]
-    # split, direct, oracle and total; only the seconds may differ
-    assert [row[:4] for row in rows2] == [row[:4] for row in rows]
 
 
 def test_double_chain_classes_script(tmp_path):
