@@ -51,74 +51,71 @@ def _read(path: str) -> str:
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+    """Write text whole: a file gets it as it is, the terminal with one
+    closing newline."""
+    _emit_lines(args, [text], "" if args.out or text.endswith("\n") else "\n")
 
 
-def _emit_lines(args: argparse.Namespace, lines: Iterable[str]) -> None:
-    """Write each line as it is produced.  The output opens at the first
-    line, so an error raised before it leaves no file behind."""
+def _emit_lines(args: argparse.Namespace, lines: Iterable[str], end: str = "\n") -> None:
+    """Write each line, followed by `end`, as it is produced.  The output
+    opens at the first line, so an error raised before it leaves no file
+    behind."""
     fh = None
     try:
         for line in lines:
             if fh is None:
                 fh = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-            fh.write(line + "\n")
+            fh.write(line + end)
     finally:
         if fh is not None and fh is not sys.stdout:
             fh.close()
+
+
+class BackendMismatch(Exception):
+    """The direct and oracle backends counted differently."""
 
 
 def _load_pointset(args: argparse.Namespace) -> PointSet:
     return PointSet.from_json(_read(args.pointset))
 
 
-def _cmd_gen(args: argparse.Namespace) -> int:
+def _cmd_gen(args: argparse.Namespace) -> None:
     if args.family == "double-chain":
         ps = gen_double_chain(args.t, args.l)
     else:
         ps = gen_nested_triangles(args.n)
     _emit(args, ps.to_json())
-    return 0
 
 
-def _cmd_build(args: argparse.Namespace) -> int:
+def _cmd_build(args: argparse.Namespace) -> None:
     if args.family == "nested-double-chain":
         t = build_k_nested_double_chain(args.k)
     else:
         t = build_k_nested_regular(args.n)
     _emit(args, t.to_json())
-    return 0
 
 
-def _cmd_tutte(args: argparse.Namespace) -> int:
+def _cmd_tutte(args: argparse.Namespace) -> None:
     _emit(args, str(tutte_count(args.n)))
-    return 0
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> int:
+def _cmd_enumerate(args: argparse.Namespace) -> None:
     if args.interior is not None:
         ts = enumerate_comb_triangulations(args.interior, cap=args.cap)
         if args.stream:
             _emit_lines(args, (t.to_json() for t in ts))
         else:
             _emit(args, str(len(ts)))
-        return 0
+        return
     ps = _load_pointset(args)
     if args.stream:
         gen = enumerate_geometric_triangulations(ps, args.cap, args.max_n)
         _emit_lines(args, (gt.to_json() for gt in gen))
     else:
         _emit(args, str(count_geometric_triangulations(ps, args.cap, args.max_n)))
-    return 0
 
 
-def _cmd_count_drawings(args: argparse.Namespace) -> int:
+def _cmd_count_drawings(args: argparse.Namespace) -> None:
     if args.t is not None:
         t = build_k_nested_double_chain(1)
         ps = gen_double_chain(args.t + 2, args.l + 2)
@@ -128,35 +125,27 @@ def _cmd_count_drawings(args: argparse.Namespace) -> int:
     backends = ["direct", "oracle"] if args.backend == "both" else [args.backend]
     counts = [count_drawings(t, ps, backend=b, max_n=args.max_n)[0] for b in backends]
     if len(counts) == 2 and counts[0] != counts[1]:
-        _fail(
-            "BackendMismatch",
-            f"direct={counts[0]} oracle={counts[1]} disagree",
-        )
-        return 1
+        raise BackendMismatch(f"direct={counts[0]} oracle={counts[1]} disagree")
     _emit(args, "\n".join(str(c) for c in counts))
-    return 0
 
 
-def _cmd_classify(args: argparse.Namespace) -> int:
+def _cmd_classify(args: argparse.Namespace) -> None:
     hist = classify_drawings(_load_pointset(args), max_n=args.max_n, jobs=args.jobs)
     _emit(args, classify_to_csv(hist))
-    return 0
 
 
-def _cmd_polygons(args: argparse.Namespace) -> int:
+def _cmd_polygons(args: argparse.Namespace) -> None:
     n = count_polygonalizations(
         _load_pointset(args), cap=args.cap, max_n=args.max_n, jobs=args.jobs
     )
     _emit(args, str(n))
-    return 0
 
 
-def _cmd_layer_count(args: argparse.Namespace) -> int:
+def _cmd_layer_count(args: argparse.Namespace) -> None:
     _emit(args, str(recursive_layer_count(args.k)))
-    return 0
 
 
-def _cmd_bounds(args: argparse.Namespace) -> int:
+def _cmd_bounds(args: argparse.Namespace) -> None:
     kind = _CONSTRAINT_TOKENS[args.constraint]
     vec, growth = optimize_growth(kind)
     report = {
@@ -166,13 +155,11 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         "exponent": exponent_rate(vec.alpha) / 8.0,
     }
     _emit(args, json.dumps(report, separators=(",", ":")))
-    return 0
 
 
-def _cmd_render(args: argparse.Namespace) -> int:
+def _cmd_render(args: argparse.Namespace) -> None:
     gt = GeomTriangulation.from_json(_read(args.geom))
     _emit(args, render_svg(gt))
-    return 0
 
 
 def _fail(kind: str, message: str) -> None:
@@ -196,7 +183,7 @@ def _parser() -> _Parser:
 
     def common(
         sp: argparse.ArgumentParser,
-        func: Callable[[argparse.Namespace], int],
+        func: Callable[[argparse.Namespace], None],
         jobs: bool = False,
         cap: bool = False,
     ):
@@ -301,10 +288,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     if problem:
         parser.error(problem)
     try:
-        return args.func(args)
+        args.func(args)
     except Exception as exc:  # surface everything as a structured error
         _fail(type(exc).__name__, str(exc))
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -21,8 +21,9 @@ Triangulations are streamed from that search into each consumer, and
 nothing keeps them past the call: the oracle and the class histogram read
 the stream, the public enumerator sorts its own copy, and the triangulation
 count memoizes the search on its open edges instead of listing anything.
-What outlives a call is the per point set index, tables of the points
-alone, and the process keeps those of the eight sets it used last.
+What outlives a call is the index, tables of the points alone, which each
+point set builds on first use and keeps for as long as it lives.  The
+worker pools send the index with every task, so a worker builds nothing.
 
 Exhaustive operations are guarded: they are meant for desk scale
 instances, and the guards are arguments, not constants baked into the
@@ -37,7 +38,6 @@ import os
 from collections import Counter, defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import combinations, repeat
 from typing import Callable, Iterator
 
@@ -74,7 +74,7 @@ class GeomTriangulation:
     triangles: tuple[tuple[int, int, int], ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        ix = _index_for(self.pointset.points)
+        ix = _index_for(self.pointset)
         edges = frozenset(_norm_edge(int(a), int(b)) for a, b in self.edges)
         if any(not 0 <= a < b < ix.n for a, b in edges):
             raise ValueError("bad edge label")
@@ -186,8 +186,8 @@ class _Index:
             self.incident[b] |= 1 << i
 
     # The tables below are built on first use: a direct count reads none
-    # of them.  A caller that forks workers touches them first, so that
-    # the workers inherit them.
+    # of them.  A caller that starts workers touches the ones they read
+    # first, so that those go out with the pickled index.
 
     @_built_on_first_use
     def cross(self) -> list[int]:
@@ -237,19 +237,31 @@ class _Index:
         return out
 
 
-@lru_cache(maxsize=8)
-def _index_for(points: tuple[Point, ...]) -> _Index:
-    """The index of a point set, built on first use and kept while it is
-    among the eight last used, so that a process touching many sets holds
-    a bounded number of tables.  Pool workers look it up by the same
-    points; under fork they inherit the parent's entries."""
-    return _Index(points)
+def _index_for(ps: PointSet) -> _Index:
+    """The index of ps, built on first use and kept on ps, so that it
+    lives exactly as long as the point set."""
+    if ps._index is None:
+        object.__setattr__(ps, "_index", _Index(ps.points))
+    return ps._index
 
 
 def _worker_count(jobs: int, tasks: int) -> int:
-    # ProcessPoolExecutor forks all max_workers processes at the first
-    # submit, so more than the cores (or the tasks) only costs forks.
+    # ProcessPoolExecutor starts all max_workers processes at the first
+    # submit, so more than the cores (or the tasks) only costs starts.
     return max(min(jobs, os.cpu_count() or 1, tasks), 1)
+
+
+def _pooled(task: Callable, ix: _Index, items: list, workers: int, *args) -> list:
+    """[task(ix, item, *args) for item in items], over `workers` processes.
+    Every task carries the index, with the tables built so far, so a worker
+    needs nothing from the parent.  An error cancels the tasks not yet
+    started before it propagates."""
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        try:
+            return list(pool.map(task, repeat(ix), items, *(repeat(a) for a in args)))
+        except BaseException:  # leaving `with` would wait for the rest
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def _mask_rotations(mask: int, ix: _Index) -> tuple[tuple[int, ...], ...]:
@@ -292,7 +304,7 @@ def _guarded_index(ps: PointSet, max_n: int | None) -> _Index:
     limit = ENUM_POINT_GUARD if max_n is None else max_n
     if len(ps) > limit:
         raise ValueError(f"point set size {len(ps)} exceeds guard {limit}")
-    return _index_for(ps.points)
+    return _index_for(ps)
 
 
 def _root(ix: _Index) -> tuple[int, int]:
@@ -440,20 +452,21 @@ def count_geometric_triangulations(
     and the number of its completions, depend on its open set alone.
     Raises RuntimeError if the number exceeds `cap`."""
     ix = _guarded_index(ps, max_n)
-    memo: dict[int, int] = {}
-
-    def completions(opened: int, mask: int) -> int:
-        if not opened:
-            return 1
-        count = memo.get(opened)
-        if count is None:
-            count = memo[opened] = sum(completions(o, m) for o, m in _steps(ix, opened, mask))
-        return count
-
-    total = completions(*_root(ix))
+    total = _completions(ix, {}, *_root(ix))
     if cap is not None and total > cap:
         raise RuntimeError(f"more than cap={cap} triangulations")
     return total
+
+
+def _completions(ix: _Index, memo: dict[int, int], opened: int, mask: int) -> int:
+    # A module function, not a closure: a recursive closure is a reference
+    # cycle, which would keep the index and the memo until the next collection.
+    if not opened:
+        return 1
+    count = memo.get(opened)
+    if count is None:
+        count = memo[opened] = sum(_completions(ix, memo, o, m) for o, m in _steps(ix, opened, mask))
+    return count
 
 
 # -- classification ----------------------------------------------------------
@@ -479,16 +492,15 @@ def classify_drawings(
             states = [s for o, m in states for s in (_steps(ix, o, m) if o else [(o, m)])]
     workers = _worker_count(jobs, len(states))
     if workers == 1:
-        return _class_histogram(ix, states)
-    ix.cross, ix.angular  # built before the workers fork
+        return _class_histogram(ix, *states)
+    ix.cross, ix.angular  # built here, so that they go out with the index
     hist: Counter[bytes] = Counter()
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_class_histogram_task, repeat(ix.pts), states):
-            hist.update(part)
+    for part in _pooled(_class_histogram, ix, states, workers):
+        hist.update(part)
     return dict(hist)
 
 
-def _class_histogram(ix: _Index, states: list[tuple[int, int]]) -> dict[bytes, int]:
+def _class_histogram(ix: _Index, *states: tuple[int, int]) -> dict[bytes, int]:
     """Histogram of canonical codes over the triangulations below the states."""
     code = _mask_coder(ix)
     hist: dict[bytes, int] = defaultdict(int)
@@ -496,10 +508,6 @@ def _class_histogram(ix: _Index, states: list[tuple[int, int]]) -> dict[bytes, i
         for mask in _triangulations(ix, start=state):
             hist[code(mask)] += 1
     return dict(hist)
-
-
-def _class_histogram_task(points: tuple[Point, ...], state: tuple[int, int]) -> dict[bytes, int]:
-    return _class_histogram(_index_for(points), [state])
 
 
 def classify_to_csv(hist: dict[bytes, int]) -> str:
@@ -639,7 +647,7 @@ def _direct_search(t: CombTriangulation, ix: _Index) -> list[int]:
 def count_mappings(t: CombTriangulation, ps: PointSet) -> int:
     """Number of label assignments drawing t on ps with the boundary pinned."""
     _check_compatible(t, ps)
-    return len(_direct_search(t, _index_for(ps.points)))
+    return len(_direct_search(t, _index_for(ps)))
 
 
 def count_drawings(
@@ -664,7 +672,7 @@ def count_drawings(
     hull = _check_compatible(t, ps)
     wits: list[GeomTriangulation] | None = None
     if backend == "direct":
-        ix = _index_for(ps.points)
+        ix = _index_for(ps)
         found = sorted(_direct_search(t, ix))
     elif backend == "oracle":
         ix = _guarded_index(ps, max_n)
@@ -712,17 +720,12 @@ def count_polygonalizations(
         raise ValueError(f"point set size {n} exceeds guard {limit}")
     if n < 3:
         raise ValueError("need at least 3 points")
-    ix = _index_for(ps.points)
-    ix.dart_cross  # built before the workers fork
+    ix = _index_for(ps)
     seconds = list(range(1, n))
     workers = _worker_count(jobs, len(seconds))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            try:
-                total = sum(pool.map(_polygon_count_task, repeat(ix.pts), seconds, repeat(cap)))
-            except RuntimeError:  # a worker's cap: leaving `with` would wait for the rest
-                pool.shutdown(cancel_futures=True)
-                raise
+        ix.dart_cross  # built here, so that it goes out with the index
+        total = sum(_pooled(_count_polygons_from, ix, seconds, workers, cap))
     else:
         total = 0
         for v in seconds:
@@ -730,10 +733,6 @@ def count_polygonalizations(
     if cap is not None and total > cap:
         raise RuntimeError(f"more than cap={cap} polygonalizations")
     return total
-
-
-def _polygon_count_task(points: tuple[Point, ...], second: int, cap: int | None) -> int:
-    return _count_polygons_from(_index_for(points), second, cap)
 
 
 def _count_polygons_from(ix: _Index, second: int, cap: int | None, count: int = 0) -> int:
@@ -802,13 +801,9 @@ def forced_cycle(ps: PointSet) -> frozenset[Edge]:
 def forced_hamiltonian_cycle(ps: PointSet) -> frozenset[Edge]:
     """Hamiltonian cycle inside forced_cycle(ps): both chains plus the
     left and right hull edges, dropping the top and bottom ones."""
-    fam = ps.family
-    if not isinstance(fam, DoubleChain) or fam.t < 2 or fam.l < 2:
-        raise ValueError("forced structure known for double chains with t, l >= 2")
-    t, l = fam.t, fam.l
-    return frozenset(
-        forced_cycle(ps) - {_norm_edge(0, t - 1), _norm_edge(t, t + l - 1)}
-    )
+    cycle = forced_cycle(ps)  # checks that ps is a fat enough double chain
+    t, l = ps.family.t, ps.family.l
+    return cycle - {_norm_edge(0, t - 1), _norm_edge(t, t + l - 1)}
 
 
 def forced_edges_always_present(ps: PointSet) -> bool:
@@ -819,7 +814,7 @@ def forced_edges_always_present(ps: PointSet) -> bool:
     triangulation leaves it crossing free, so the triangulation, being
     maximal, has it already.  If one does, that segment extends, as any
     crossing free set does, to a triangulation, which lacks the edge."""
-    ix = _index_for(ps.points)
+    ix = _index_for(ps)
     return all(ix.cross[ix.eidm[a][b]] == 0 for a, b in forced_cycle(ps))
 
 

@@ -9,7 +9,7 @@ that passes the checks is an acceptable member of the family.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
@@ -37,10 +37,14 @@ Family = object  # DoubleChain | NestedTriangles
 
 @dataclass(frozen=True)
 class PointSet:
-    """Immutable labeled point set, optionally tagged with its family."""
+    """Immutable labeled point set, optionally tagged with its family.
+
+    `_index` holds the search tables of `drawings`, built on first use and
+    dropped with the set; it takes no part in equality, hashing or repr."""
 
     points: tuple[Point, ...]
     family: Optional[Family] = None
+    _index: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         pts = tuple(Point(int(x), int(y)) for x, y in self.points)

@@ -33,7 +33,7 @@ def test_cached_coder_agrees_with_canonical_code(name):
     ps = CODER_SETS[name]
     # One coder over every triangulation, so that later masks hit the
     # rotations cached for earlier ones.
-    ix = _index_for(ps.points)
+    ix = _index_for(ps)
     code = _mask_coder(ix)
     codes = []
     for g in enumerate_geometric_triangulations(ps):

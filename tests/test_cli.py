@@ -265,9 +265,25 @@ def test_backend_mismatch_exits_one(tmp_path, monkeypatch, capsys):
             "--backend", "both"]
     assert cli.main(argv) == 1
     out, err = capsys.readouterr()
-    assert out == ""
+    assert out == "" and err.count("\n") == 1
     assert json.loads(err) == {"error": "BackendMismatch",
                                "message": "direct=1 oracle=2 disagree"}
+
+
+def test_whole_outputs_end_in_one_newline_on_the_terminal_and_as_written_in_files(
+        tmp_path, capsys):
+    pf = tmp_path / "ps.json"
+    pf.write_text(gen_double_chain(3, 3).to_json())
+    assert cli.main(["classify", "--pointset", str(pf)]) == 0
+    csv = capsys.readouterr().out
+    assert csv.endswith(",1\n")  # the CSV's own newline, not doubled
+    out = tmp_path / "classes.csv"
+    assert cli.main(["classify", "--pointset", str(pf), "-o", str(out)]) == 0
+    assert out.read_text() == csv
+    assert cli.main(["gen", "double-chain", "--t", "3", "--l", "3"]) == 0
+    assert capsys.readouterr().out == pf.read_text() + "\n"
+    assert cli.main(["gen", "double-chain", "--t", "3", "--l", "3", "-o", str(out)]) == 0
+    assert out.read_text() == pf.read_text()
 
 
 def test_start_up_does_not_import_networkx():

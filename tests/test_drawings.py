@@ -1,5 +1,8 @@
+import functools
 import itertools
 import math
+import multiprocessing
+import weakref
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -164,7 +167,7 @@ def test_parallel_enumeration_agrees(monkeypatch):
     shifted = PointSet(tuple((x + 1, y) for x, y in nonagon.points))
     mapped = _spy_on_pools(monkeypatch)
     par = classify_drawings(nonagon, jobs=2)
-    assert mapped == ["_class_histogram_task"]
+    assert mapped == ["_class_histogram"]
     seq = classify_drawings(shifted)
     assert par == seq and sum(par.values()) == 429
 
@@ -209,22 +212,37 @@ def test_enumeration_guard_and_override():
 
 
 def test_oracle_guard_comes_before_the_index():
-    drawings._index_for.cache_clear()
+    ps = gen_double_chain(10, 10)
     with pytest.raises(ValueError, match="guard 14"):
-        count_drawings(build_k_nested_double_chain(2), gen_double_chain(10, 10),
-                       backend="oracle")
-    assert drawings._index_for.cache_info().currsize == 0
+        count_drawings(build_k_nested_double_chain(2), ps, backend="oracle")
+    assert ps._index is None
 
 
-def test_the_process_keeps_at_most_eight_indexes():
-    drawings._index_for.cache_clear()
-    sets = [PointSet(tuple((i, i * i + shift) for i in range(5))) for shift in range(9)]
-    for ps in sets:
-        assert count_geometric_triangulations(ps) == 5
-    assert drawings._index_for.cache_info().currsize == 8
-    first = drawings._index_for(sets[0].points)  # evicted, so built again
-    assert drawings._index_for.cache_info().misses == 10
-    assert first is drawings._index_for(sets[0].points)
+def test_a_point_set_keeps_its_own_index_for_as_long_as_it_lives():
+    ps = PointSet(tuple((i, i * i + 7) for i in range(5)))
+    assert count_geometric_triangulations(ps) == 5
+    ix = drawings._index_for(ps)
+    assert ps._index is ix and count_polygonalizations(ps) == 1
+    assert drawings._index_for(ps) is ix
+    twin = PointSet(ps.points)
+    assert twin == ps and hash(twin) == hash(ps) and repr(twin) == repr(ps)
+    assert drawings._index_for(twin) is not ix
+    assert twin.to_json() == ps.to_json()
+    gone = weakref.ref(ix)
+    del ps, ix
+    assert gone() is None
+
+
+def test_pool_workers_need_nothing_from_the_parent(monkeypatch):
+    # Spawned workers start from a fresh interpreter, so they can only
+    # count with the index that comes with their tasks.
+    spawned = functools.partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn"))
+    monkeypatch.setattr(drawings, "ProcessPoolExecutor", spawned)
+    monkeypatch.setattr(drawings.os, "cpu_count", lambda: 2)
+    ps = gen_double_chain(3, 4)
+    par = classify_drawings(ps, jobs=2), count_polygonalizations(ps, jobs=2)
+    assert par == (classify_drawings(ps), count_polygonalizations(ps))
+    assert sum(par[0].values()) == 20 and par[1] == 44
 
 
 def test_enumeration_cap(five_point_set):
@@ -455,7 +473,7 @@ def test_forced_edges_are_exactly_the_uncrossed_edges():
     for t in range(2, 6):
         for l in range(t, 11 - t):
             ps = gen_double_chain(t, l)
-            ix = drawings._index_for(ps.points)
+            ix = drawings._index_for(ps)
             common = ~0
             for mask in drawings._enumerate_masks(ix):
                 common &= mask
@@ -470,6 +488,10 @@ def test_forced_structure_needs_a_fat_double_chain(pentagon):
         forced_cycle(gen_double_chain(1, 4))
     with pytest.raises(ValueError, match="double chain"):
         forced_cycle(pentagon)
+    with pytest.raises(ValueError, match="double chain"):
+        forced_hamiltonian_cycle(gen_double_chain(1, 4))
+    with pytest.raises(ValueError, match="double chain"):
+        forced_hamiltonian_cycle(pentagon)
 
 
 def test_layer_recursion_values():

@@ -61,7 +61,7 @@ class CountingRows(list):
 
 def test_cap_stops_the_search_early(monkeypatch):
     ps = gen_double_chain(6, 6)
-    ix = _index_for(ps.points)
+    ix = _index_for(ps)
     rows = CountingRows(ix.dart_cross)
     monkeypatch.setattr(ix, "dart_cross", rows)
     with pytest.raises(RuntimeError, match="more than cap=10 polygonalizations"):
