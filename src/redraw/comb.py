@@ -215,6 +215,16 @@ def from_rotation_json(text: str) -> CombTriangulation:
 # -- canonical codes ------------------------------------------------------
 
 
+def _tokens(count: int) -> tuple[str, ...]:
+    """The decimal strings of 0 .. count-1."""
+    return tuple(map(str, range(count)))
+
+
+# The numbers a code of up to 63 vertices writes, made once per process
+# instead of once per code.
+_TOKENS = _tokens(64)
+
+
 def _code_from_rotations(
     num_vertices: int,
     outer_face: Sequence[int],
@@ -226,22 +236,24 @@ def _code_from_rotations(
     vertex emits its rotation starting at the neighbor it was entered
     from.  The result depends only on the rooted oriented structure.
     """
-    labels = [-1] * num_vertices
+    # every number written is at most num_vertices
+    tokens = _TOKENS if num_vertices < len(_TOKENS) else _tokens(num_vertices + 1)
+    labels: list[str | None] = [None] * num_vertices
     root, ref = outer_face[0], outer_face[1]
-    labels[root] = 0
+    labels[root] = tokens[0]
     order: list[Dart] = [(root, ref)]
-    parts = [num_vertices, len(outer_face)]
+    parts = [tokens[num_vertices], tokens[len(outer_face)]]
     for v, ref in order:  # the queue: a list iterator sees later appends
         rot = rotations[v]
         i0 = rot.index(ref)
-        parts.append(len(rot))
+        parts.append(tokens[len(rot)])
         for w in rot[i0:] + rot[:i0]:
             lw = labels[w]
-            if lw < 0:
-                lw = labels[w] = len(order)  # one label per queued vertex
+            if lw is None:
+                lw = labels[w] = tokens[len(order)]  # one label per queued vertex
                 order.append((w, v))
             parts.append(lw)
-    return " ".join(map(str, parts)).encode()
+    return " ".join(parts).encode()
 
 
 def canonical_code(t: CombTriangulation) -> bytes:

@@ -21,9 +21,14 @@ Triangulations are streamed from that search into each consumer, and
 nothing keeps them past the call: the oracle and the class histogram read
 the stream, the public enumerator sorts its own copy, and the triangulation
 count memoizes the search on its open edges instead of listing anything.
-What outlives a call is the index, tables of the points alone, which each
+The steps below a state depend on its open edges alone, so one search
+works each open set's steps out once and keeps them for the call: its
+memory grows with the open sets, not with the triangulations.  What
+outlives a call is the index, tables of the points alone, which each
 point set builds on first use and keeps for as long as it lives.  The
 worker pools send the index with every task, so a worker builds nothing.
+Triangulations built from a search's own masks skip the checks that the
+public constructor runs on user input.
 
 Exhaustive operations are guarded: they are meant for desk scale
 instances, and the guards are arguments, not constants baked into the
@@ -87,8 +92,25 @@ class GeomTriangulation:
             if crossed:
                 other = ix.pairs[(crossed & -crossed).bit_length() - 1]
                 raise ValueError(f"edges {(a, b)} and {other} cross")
-        # checked above, so the structure needs no second validation
-        comb = CombTriangulation._trusted(ix.n, tuple(ix.hull), _mask_rotations(mask, ix))
+        self._derive(ix, edges, _mask_rotator(ix)(mask))
+
+    @classmethod
+    def _trusted(
+        cls, ps: PointSet, mask: int, rotations: tuple[tuple[int, ...], ...]
+    ) -> GeomTriangulation:
+        """Construction without the checks of `__post_init__`, for a
+        triangulation mask that a search over the index of ps produced,
+        with its rotations."""
+        gt = object.__new__(cls)
+        object.__setattr__(gt, "pointset", ps)
+        gt._derive(ps._index, _mask_edges(mask, ps._index), rotations)
+        return gt
+
+    def _derive(
+        self, ix: _Index, edges: frozenset[Edge], rotations: tuple[tuple[int, ...], ...]
+    ) -> None:
+        # the caller has checked the edges, so the structure needs no validation
+        comb = CombTriangulation._trusted(ix.n, tuple(ix.hull), rotations)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "triangles", tuple(comb.faces()))
         object.__setattr__(self, "_comb", comb)
@@ -264,35 +286,35 @@ def _pooled(task: Callable, ix: _Index, items: list, workers: int, *args) -> lis
             raise
 
 
-def _mask_rotations(mask: int, ix: _Index) -> tuple[tuple[int, ...], ...]:
-    return tuple(
-        tuple(w for w, bit in ang if mask & bit) for ang in ix.angular
-    )
-
-
-def _mask_coder(ix: _Index) -> Callable[[int], bytes]:
+def _mask_rotator(ix: _Index) -> Callable[[int], tuple[tuple[int, ...], ...]]:
     """A function from a triangulation mask of the indexed set to its
-    canonical code.
+    rotations.
 
     A vertex's rotation depends only on its incident edges, and across
     the triangulations of one set the same incident edges recur, so each
     vertex keeps a dict from them to the rotation read off `angular`.
     The dicts live as long as the returned function, which callers keep
     for one pass: on the index they would last for the whole process."""
-    n, hull = ix.n, ix.hull
     tables = [(ang, inc, {}) for ang, inc in zip(ix.angular, ix.incident)]
 
-    def code(mask: int) -> bytes:
-        rotations = []
+    def rotations(mask: int) -> tuple[tuple[int, ...], ...]:
+        out = []
         for ang, inc, seen in tables:
             key = mask & inc
             rot = seen.get(key)
             if rot is None:
                 rot = seen[key] = tuple(w for w, bit in ang if key & bit)
-            rotations.append(rot)
-        return _code_from_rotations(n, hull, rotations)
+            out.append(rot)
+        return tuple(out)
 
-    return code
+    return rotations
+
+
+def _mask_coder(ix: _Index) -> Callable[[int], bytes]:
+    """A function from a triangulation mask of the indexed set to its
+    canonical code, through one `_mask_rotator`."""
+    n, hull, rotations = ix.n, ix.hull, _mask_rotator(ix)
+    return lambda mask: _code_from_rotations(n, hull, rotations(mask))
 
 
 def _mask_edges(mask: int, ix: _Index) -> frozenset[Edge]:
@@ -315,15 +337,16 @@ def _root(ix: _Index) -> tuple[int, int]:
 
 def _triangulations(
     ix: _Index,
+    *starts: tuple[int, int],
     cap: int | None = None,
     bound: list[int] | None = None,
-    start: tuple[int, int] | None = None,
 ) -> Iterator[int]:
     """Yield every triangulation bitmask of the indexed set, each once, in
     no promised order; raise RuntimeError once more than `cap` have come.
     With a `bound`, skip every triangulation in which some point p has more
-    than bound[p] edges.  With a `start` state, yield only the
-    triangulations below it.
+    than bound[p] edges.  With `starts`, yield only the triangulations
+    below those states, one state after the other; with both, each start
+    must be within the bound.
 
     A depth first search over partial triangulations, off a stack.  A
     state is a pair (open, mask): `mask` holds the edges drawn so far, and
@@ -334,18 +357,29 @@ def _triangulations(
     boundary of the unclaimed region, so at a state with none the
     triangles cover the hull once: a triangulation.  The triangle on the
     left of an edge is determined by the triangulation, so each one has
-    exactly one derivation, and the search keeps no record of what it
-    has seen.  A step only adds edges, so below a state where a point
-    already exceeds its bound every triangulation does too, and the search
-    drops the state (`_steps_within`).
+    exactly one derivation.  A step only adds edges, so below a state
+    where a point already exceeds its bound every triangulation does too,
+    and the search drops the state (`_within`).
+
+    The steps from a state depend on its open set alone (see
+    `count_geometric_triangulations`), so a dict kept for the call holds
+    them per open set, as pairs (open, new edges), and a state reached
+    again takes them from there.  It has one entry per open set, as the
+    count's memo does, and holds no triangulation.
     """
-    steps = _steps_within(bound)
-    stack = [start or _root(ix)]
+    memo: dict[int, list[tuple[int, int]]] = {}
+    stack = list(reversed(starts)) or [_root(ix)]
     count = 0
     while stack:
         opened, mask = stack.pop()
         if opened:
-            stack += steps(ix, opened, mask)
+            below = memo.get(opened)
+            if below is None:
+                below = memo[opened] = [(o, m ^ mask) for o, m in _steps(ix, opened, mask)]
+            if bound is None:
+                stack += [(o, mask | new) for o, new in below]
+            else:
+                stack += _within(ix, bound, mask, below)
             continue
         count += 1
         if cap is not None and count > cap:
@@ -355,7 +389,7 @@ def _triangulations(
 
 def _enumerate_masks(ix: _Index, cap: int | None = None) -> list[int]:
     """All triangulation bitmasks of the indexed set, sorted."""
-    return sorted(_triangulations(ix, cap))
+    return sorted(_triangulations(ix, cap=cap))
 
 
 def _steps(ix: _Index, opened: int, mask: int) -> list[tuple[int, int]]:
@@ -399,32 +433,26 @@ def _steps(ix: _Index, opened: int, mask: int) -> list[tuple[int, int]]:
     return out
 
 
-def _steps_within(
-    bound: list[int] | None,
-) -> Callable[[_Index, int, int], list[tuple[int, int]]]:
-    """`_steps`, or with a bound, `_steps` less the states in which an
-    endpoint p of a new edge has more than bound[p] edges.  The choice is
-    made once per search, so an unbounded search pays nothing for it."""
-    if bound is None:
-        return _steps
-
-    def steps(ix: _Index, opened: int, mask: int) -> list[tuple[int, int]]:
-        pairs, incident = ix.pairs, ix.incident
-        kept = []
-        for o, m in _steps(ix, opened, mask):
-            new = m ^ mask
-            while new:
-                low = new & -new
-                new ^= low
-                a, b = pairs[low.bit_length() - 1]
-                if ((m & incident[a]).bit_count() > bound[a]
-                        or (m & incident[b]).bit_count() > bound[b]):
-                    break
-            else:
-                kept.append((o, m))
-        return kept
-
-    return steps
+def _within(
+    ix: _Index, bound: list[int], mask: int, below: list[tuple[int, int]]
+) -> list[tuple[int, int]]:
+    """The states (open, mask | new) for the pairs (open, new edges) of
+    `below`, less those in which an endpoint p of a new edge has more than
+    bound[p] edges."""
+    pairs, incident = ix.pairs, ix.incident
+    kept = []
+    for o, new in below:
+        m = mask | new
+        while new:
+            low = new & -new
+            new ^= low
+            a, b = pairs[low.bit_length() - 1]
+            if ((m & incident[a]).bit_count() > bound[a]
+                    or (m & incident[b]).bit_count() > bound[b]):
+                break
+        else:
+            kept.append((o, m))
+    return kept
 
 
 def enumerate_geometric_triangulations(
@@ -432,8 +460,9 @@ def enumerate_geometric_triangulations(
 ) -> Iterator[GeomTriangulation]:
     """Yield every geometric triangulation of ps, deterministic order."""
     ix = _guarded_index(ps, max_n)
+    rotations = _mask_rotator(ix)
     for mask in _enumerate_masks(ix, cap=cap):
-        yield GeomTriangulation(ps, _mask_edges(mask, ix))
+        yield GeomTriangulation._trusted(ps, mask, rotations(mask))
 
 
 def count_geometric_triangulations(
@@ -504,9 +533,8 @@ def _class_histogram(ix: _Index, *states: tuple[int, int]) -> dict[bytes, int]:
     """Histogram of canonical codes over the triangulations below the states."""
     code = _mask_coder(ix)
     hist: dict[bytes, int] = defaultdict(int)
-    for state in states:
-        for mask in _triangulations(ix, start=state):
-            hist[code(mask)] += 1
+    for mask in _triangulations(ix, *states):  # one search, one memo
+        hist[code(mask)] += 1
     return dict(hist)
 
 
@@ -640,7 +668,10 @@ def _direct_search(t: CombTriangulation, ix: _Index) -> list[int]:
             place(step + 1, used | low)
         asg[v] = -1
 
-    place(0, used)
+    try:
+        place(0, used)
+    finally:
+        del place  # it refers to itself: a cycle the collector would have to find
     return images
 
 
@@ -696,7 +727,8 @@ def count_drawings(
     else:
         raise ValueError(f"unknown backend {backend!r}")
     if witnesses:
-        wits = [GeomTriangulation(ps, _mask_edges(m, ix)) for m in found]
+        rotations = _mask_rotator(ix)
+        wits = [GeomTriangulation._trusted(ps, m, rotations(m)) for m in found]
     return len(found), wits
 
 
@@ -769,7 +801,10 @@ def _count_polygons_from(ix: _Index, second: int, cap: int | None, count: int = 
             p = bit.bit_length() - 1
             extend(p, free ^ bit, blocked | rows[last * n + p])
 
-    extend(second, everyone ^ 1 ^ (1 << second), rows[second])  # dart 0->second
+    try:
+        extend(second, everyone ^ 1 ^ (1 << second), rows[second])  # dart 0->second
+    finally:
+        del extend  # it refers to itself: a cycle the collector would have to find
     return count
 
 

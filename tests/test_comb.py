@@ -56,6 +56,39 @@ def test_k4_canonical_code_frozen(k4):
     assert canonical_code(k4) == b"4 3 3 1 2 3 3 0 3 2 3 0 1 3 3 0 2 1"
 
 
+# canonical_code(build_k_nested_double_chain(8)) as `" ".join(map(str,
+# numbers))` writes it.  Its 68 vertices are more than `comb._TOKENS`
+# holds, so the code writes numbers from outside that table.
+CHAIN_PAIR_8_CODE = (
+    "68 4 5 1 2 3 4 5 5 0 6 7 8 2 8 0 1 8 9 10 11 12 3 8 0 2 12 13 14 "
+    "15 16 4 4 0 3 16 5 5 0 4 16 15 6 5 1 5 15 9 7 4 1 6 9 8 4 1 7 9 2 "
+    "8 2 8 7 6 15 17 18 10 4 2 9 18 11 4 2 10 18 12 8 2 11 18 19 20 21 "
+    "13 3 8 3 12 21 22 23 17 24 14 4 3 13 24 15 8 3 14 24 17 9 6 5 16 4 "
+    "3 15 5 4 8 9 15 24 13 23 25 26 18 8 9 17 26 27 19 12 11 10 4 12 18 "
+    "27 20 4 12 19 27 21 8 12 20 27 28 29 30 22 13 8 13 21 30 31 32 26 "
+    "25 23 4 13 22 25 17 4 13 17 15 14 4 17 23 22 26 8 17 25 22 32 33 "
+    "34 27 18 8 18 26 34 35 28 21 20 19 4 21 27 35 29 4 21 28 35 30 8 "
+    "21 29 35 36 37 38 31 22 8 22 30 38 39 40 34 33 32 4 22 31 33 26 4 "
+    "26 32 31 34 8 26 33 31 40 41 42 35 27 8 27 34 42 43 36 30 29 28 4 "
+    "30 35 43 37 4 30 36 43 38 8 30 37 43 44 45 46 39 31 8 31 38 46 47 "
+    "48 42 41 40 4 31 39 41 34 4 34 40 39 42 8 34 41 39 48 49 50 43 35 "
+    "8 35 42 50 51 44 38 37 36 4 38 43 51 45 4 38 44 51 46 8 38 45 51 "
+    "52 53 54 47 39 8 39 46 54 55 56 50 49 48 4 39 47 49 42 4 42 48 47 "
+    "50 8 42 49 47 56 57 58 51 43 8 43 50 58 59 52 46 45 44 4 46 51 59 "
+    "53 4 46 52 59 54 8 46 53 59 60 61 62 55 47 8 47 54 62 63 64 58 57 "
+    "56 4 47 55 57 50 4 50 56 55 58 8 50 57 55 64 65 66 59 51 8 51 58 "
+    "66 67 60 54 53 52 4 54 59 67 61 4 54 60 67 62 6 54 61 67 66 63 55 "
+    "5 55 62 66 65 64 4 55 63 65 58 4 58 64 63 66 6 58 65 63 62 67 59 5 "
+    "59 66 62 61 60"
+).encode()
+
+
+def test_canonical_code_past_the_token_table():
+    t = build_k_nested_double_chain(8)
+    assert t.num_vertices >= len(comb._TOKENS)
+    assert canonical_code(t) == CHAIN_PAIR_8_CODE
+
+
 def test_json_round_trip(k4):
     for t in (k4, build_k_nested_double_chain(1), build_k_nested_regular(8)):
         assert from_rotation_json(t.to_json()) == t

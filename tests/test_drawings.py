@@ -1,4 +1,5 @@
 import functools
+import gc
 import itertools
 import math
 import multiprocessing
@@ -97,7 +98,8 @@ def test_indexed_construction_agrees_with_the_drawing_check():
     # GeomTriangulation checks edges against the point set's index;
     # from_straight_line_drawing reads no index.  They must agree on every
     # triangulation, and reject the perturbations of every fourth one with
-    # the same message.
+    # the same message.  Enumeration builds each triangulation from its
+    # mask without those checks, and must give the checked result.
     sets = [PointSet(tuple((i, i * i) for i in range(k))) for k in range(4, 9)]
     sets += [gen_double_chain(t, l) for t in range(2, 6) for l in range(2, t + 1)]
     sets += [gen_nested_triangles(n) for n in range(6, 10)]
@@ -108,6 +110,7 @@ def test_indexed_construction_agrees_with_the_drawing_check():
             again = GeomTriangulation(ps, g.edges)
             assert again.triangles == tuple(ref.faces())
             assert to_comb(again) == ref
+            assert g == again and to_comb(g) == ref  # point set, edges, triangles
             for edges in _perturbations(ps, g.edges) if i % 4 == 0 else ():
                 assert _raised(GeomTriangulation, ps, edges) == _raised(
                     from_straight_line_drawing, ps.points, edges
@@ -381,6 +384,9 @@ def test_oracle_witnesses_equal_direct_witnesses(split, drawn):
     direct, direct_wits = count_drawings(t1, ps, witnesses=True)
     assert oracle == direct == drawn
     assert [w.edges for w in oracle_wits] == [w.edges for w in direct_wits]
+    for w in oracle_wits + direct_wits:  # built from masks, unchecked
+        checked = GeomTriangulation(ps, w.edges)
+        assert w == checked and to_comb(w) == to_comb(checked)
 
 
 def test_unknown_backend_rejected(five_point_set):
@@ -441,6 +447,27 @@ def test_polygonalization_guard_cap_and_tiny_input():
         count_polygonalizations(gen_double_chain(3, 3), cap=5)
     with pytest.raises(ValueError, match="at least 3"):
         count_polygonalizations(PointSet(((0, 0), (1, 5))))
+
+
+def test_recursive_searches_leave_no_cyclic_garbage():
+    # The polygon and direct searches recurse through closures, which refer
+    # to themselves; a call must leave no cycle behind for the collector.
+    ps, t = gen_double_chain(6, 6), build_k_nested_double_chain(1)
+    drawings._index_for(ps).dart_cross  # built here, with the index
+    gc.collect()
+    gc.disable()
+    try:
+        assert count_polygonalizations(ps) == 33094
+        assert gc.collect() == 0
+        assert count_drawings(t, ps)[0] == 3
+        assert gc.collect() == 0
+        try:
+            count_polygonalizations(ps, cap=10)
+        except RuntimeError:
+            pass
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_forced_structure_on_double_chains():

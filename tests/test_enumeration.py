@@ -100,6 +100,68 @@ def test_every_state_of_the_search_completes(monkeypatch, ps):
     assert not dead
 
 
+def plain_search(ix: _Index, start: tuple[int, int], bound: list[int] | None = None):
+    """The stack search of `_triangulations` without its memo: every state
+    asks `_steps` for its children, and with a bound a child is dropped
+    when any point has more than its bound of edges."""
+    stack = [start]
+    while stack:
+        opened, mask = stack.pop()
+        if not opened:
+            yield mask
+            continue
+        for o, m in drawings._steps(ix, opened, mask):
+            if bound is None or within(ix, m, bound):
+                stack.append((o, m))
+
+
+def within(ix: _Index, mask: int, bound: list[int]) -> bool:
+    return all((mask & ix.incident[p]).bit_count() <= bound[p] for p in range(ix.n))
+
+
+DIFFERENTIAL_SETS = (
+    [convex(10), gen_nested_triangles(9)]
+    + [gen_double_chain(t, l) for t, l in [(3, 3), (3, 5), (4, 4), (4, 6), (5, 5), (5, 6)]]
+    + [random_set(seed, size) for seed, size in [(21, 8), (22, 9), (23, 10), (24, 10)]]
+)
+
+
+@pytest.mark.parametrize("ps", DIFFERENTIAL_SETS, ids=lambda ps: f"{len(ps)}pts")
+def test_memoized_search_yields_the_plain_search_sequence(monkeypatch, ps):
+    ix = _Index(ps.points)
+    root = drawings._root(ix)
+    expanded = []
+    steps = drawings._steps
+
+    def spy(ix, opened, mask):
+        expanded.append(opened)
+        return steps(ix, opened, mask)
+
+    monkeypatch.setattr(drawings, "_steps", spy)
+    masks = list(drawings._triangulations(ix))
+    monkeypatch.undo()
+    assert masks == list(plain_search(ix, root))
+    assert len(expanded) == len(set(expanded))  # one `_steps` call per open set
+    # the first triangulation's degrees, plus 2 on even points and 1 on odd
+    first = masks[0]
+    bound = [(first & ix.incident[p]).bit_count() + 2 - p % 2 for p in range(ix.n)]
+    bounded = list(drawings._triangulations(ix, bound=bound))
+    assert bounded == list(plain_search(ix, root, bound))
+    assert first in bounded and len(bounded) < len(masks)
+    # from the states two steps below the root, alone and all in one search
+    states = drawings._steps(ix, *root)
+    states = [s for o, m in states for s in (drawings._steps(ix, o, m) if o else [(o, m)])]
+    assert len(states) > 1
+    below = [list(plain_search(ix, s)) for s in states]
+    for state, expected in zip(states, below):
+        assert list(drawings._triangulations(ix, state)) == expected
+        if within(ix, state[1], bound):
+            assert list(drawings._triangulations(ix, state, bound=bound)) == list(
+                plain_search(ix, state, bound)
+            )
+    assert list(drawings._triangulations(ix, *states)) == [m for part in below for m in part]
+
+
 def catalan(k: int) -> int:
     return comb(2 * k, k) // (k + 1)
 
