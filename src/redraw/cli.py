@@ -51,21 +51,19 @@ def _read(path: str) -> str:
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
-    """Write text whole: a file gets it as it is, the terminal with one
-    closing newline."""
-    _emit_lines(args, [text], "" if args.out or text.endswith("\n") else "\n")
+    """Write text whole, ending in exactly one newline."""
+    _emit_lines(args, [text.removesuffix("\n")])
 
 
-def _emit_lines(args: argparse.Namespace, lines: Iterable[str], end: str = "\n") -> None:
-    """Write each line, followed by `end`, as it is produced.  The output
-    opens at the first line, so an error raised before it leaves no file
-    behind."""
+def _emit_lines(args: argparse.Namespace, lines: Iterable[str]) -> None:
+    """Write each line and a newline as it is produced.  The output opens
+    at the first line, so an error raised before it leaves no file."""
     fh = None
     try:
         for line in lines:
             if fh is None:
                 fh = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-            fh.write(line + end)
+            fh.write(line + "\n")
     finally:
         if fh is not None and fh is not sys.stdout:
             fh.close()
@@ -266,13 +264,17 @@ def _parser() -> _Parser:
 
 
 def _check_args(args: argparse.Namespace) -> str | None:
+    if getattr(args, "jobs", 1) < 1:
+        return f"--jobs must be at least 1, got {args.jobs}"
     if args.command == "count-drawings":
-        shortcut = args.t is not None or args.l is not None
-        files = args.triangulation is not None and args.pointset is not None
-        if shortcut and (args.t is None or args.l is None):
+        shortcut, files = (args.t, args.l), (args.triangulation, args.pointset)
+        if shortcut == (None, None):
+            if None in files:
+                return "count-drawings needs --triangulation and --pointset, or --t/--l"
+        elif None in shortcut:
             return "count-drawings shortcut needs both --t and --l"
-        if not shortcut and not files:
-            return "count-drawings needs --triangulation and --pointset, or --t/--l"
+        elif files != (None, None):
+            return "count-drawings shortcut --t/--l takes no --triangulation or --pointset"
     return None
 
 

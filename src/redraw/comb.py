@@ -45,6 +45,16 @@ def _cyclic_eq(a: Sequence[int], b: Sequence[int]) -> bool:
     return any(all(a[(s + i) % n] == b[i] for i in range(n)) for s in range(n))
 
 
+def _splits(nbrs: Sequence[Iterable[int]], cut: set[int]) -> bool:
+    """Whether the graph with these neighbours falls apart without cut."""
+    rest = set(range(len(nbrs))) - cut
+    seen, front = set(), rest and {min(rest)}
+    while front:
+        seen |= front
+        front = set().union(*(nbrs[v] for v in front)) - cut - seen
+    return seen != rest
+
+
 @dataclass(frozen=True)
 class CombTriangulation:
     """Rotation system plus designated outer face, labels 0-based.
@@ -159,14 +169,7 @@ class CombTriangulation:
             for u in rot:
                 if v not in rots[u]:
                     raise ValueError(f"dart {v}->{u} has no reciprocal")
-        seen = {0}
-        stack = [0]
-        while stack:
-            for u in rots[stack.pop()]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        if len(seen) != n:
+        if _splits(rots, set()):
             raise ValueError("graph is not connected")
         m = self.edge_count
         h = len(outer)
@@ -330,26 +333,51 @@ def from_edge_list(
 ) -> CombTriangulation:
     """Embed an abstract edge list and root it at the given outer face.
 
-    Only meaningful when the embedding is unique up to reflection, which
-    holds for maximal planar graphs; exactly one of the two mirror
-    orientations matches the requested outer face.
-    """
-    import networkx as nx  # imported here: it costs most of redraw's start-up
-
-    es = sorted({_norm_edge(a, b) for a, b in edges})
-    g = nx.Graph(es)
-    g.add_nodes_from(range(num_vertices))
-    planar, emb = nx.check_planarity(g)
-    if not planar:
-        raise ValueError("edge list is not planar")
-    rots = [tuple(emb.neighbors_cw_order(v)) for v in range(num_vertices)]
-    last_error: Exception | None = None
-    for cand in (rots, [tuple(reversed(r)) for r in rots]):
-        try:
-            return CombTriangulation(num_vertices, tuple(outer_face), tuple(cand))
-        except ValueError as exc:
-            last_error = exc
-    raise ValueError(f"no orientation matches the outer face: {last_error}")
+    Coned over a new vertex n when the outer face is longer than a
+    triangle, a triangulation is maximal planar, so its faces are the
+    triangles whose removal leaves it connected (Tutte 1963).  The outer
+    face is oriented by the rule of `_validate`, the face across each
+    side p->q of an oriented face runs q->p, and the rotations are read
+    off the oriented faces.  `CombTriangulation` certifies the result."""
+    n, outer = num_vertices, tuple(outer_face)
+    es = {_norm_edge(a, b) for a, b in edges}
+    if any(not 0 <= a < b < n for a, b in es) or not set(outer) <= set(range(n)):
+        raise ValueError("bad vertex label")
+    m, h = len(es), len(set(outer))
+    if m != 3 * n - 3 - h:  # a planar graph has at most 3n-6 edges
+        raise ValueError("edge list is not planar" if m > 3 * n - 6 else
+                         f"no orientation matches the outer face: edge count {m}")
+    top = n if h > 3 else outer[2]
+    es |= {(v, n) for v in outer if h > 3}
+    nbrs = [{u for e in es if v in e for u in e if u != v} for v in range(n + (h > 3))]
+    thirds: dict[Edge, list[int]] = {e: [] for e in es}  # third corners of its faces
+    for a, b in es:
+        for c in nbrs[a] & nbrs[b]:
+            if c > b and not _splits(nbrs, {a, b, c}):
+                for p, q, r in ((a, b, c), (b, c, a), (a, c, b)):
+                    thirds[p, q].append(r)
+    if top not in thirds.get(_norm_edge(outer[0], outer[1]), ()):
+        raise ValueError("no orientation matches the outer face: it is not a face")
+    after: dict[Dart, int] = {}  # (v, u) -> the neighbour after u around v
+    todo = [(outer[0], top, outer[1])]
+    while todo:
+        a, b, c = todo.pop()
+        if after.get((a, b)) != c:  # not oriented yet
+            for p, q, r in ((a, b, c), (b, c, a), (c, a, b)):
+                if after.setdefault((p, q), r) != r:
+                    raise ValueError("edge list is not planar")
+                t = thirds[_norm_edge(p, q)]  # a bare triangle's faces share one
+                todo.append((q, p, t[0] if t[0] != r else t[-1]))
+    rots = [[min(nbrs[v])] for v in range(n)]
+    for v, rot in enumerate(rots):
+        while len(rot) < len(nbrs[v]):
+            rot.append(after.get((v, rot[-1]), v))
+        if set(rot) != nbrs[v]:
+            raise ValueError("edge list is not planar")
+    try:
+        return CombTriangulation(n, outer, tuple(tuple(u for u in r if u != n) for r in rots))
+    except ValueError as exc:
+        raise ValueError(f"no orientation matches the outer face: {exc}") from None
 
 
 # -- counting and exhaustive generation ------------------------------------

@@ -41,7 +41,6 @@ import hashlib
 import json
 import os
 from collections import Counter, defaultdict
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations, repeat
 from typing import Callable, Iterator
@@ -278,6 +277,7 @@ def _pooled(task: Callable, ix: _Index, items: list, workers: int, *args) -> lis
     Every task carries the index, with the tables built so far, so a worker
     needs nothing from the parent.  An error cancels the tasks not yet
     started before it propagates."""
+    from concurrent.futures import ProcessPoolExecutor  # loaded only when used
     with ProcessPoolExecutor(max_workers=workers) as pool:
         try:
             return list(pool.map(task, repeat(ix), items, *(repeat(a) for a in args)))

@@ -188,7 +188,7 @@ def test_output_file_option(tmp_path):
     r = run_cli("tutte", "3", "-o", str(out))
     assert r.returncode == 0
     assert r.stdout == ""
-    assert out.read_text() == "13"
+    assert out.read_text() == "13\n"
 
 
 def test_domain_errors_exit_one():
@@ -222,6 +222,11 @@ def test_usage_errors_exit_two(tmp_path):
         ("bounds", "--tolerance", "1e-9"),
         ("enumerate", "--interior", "2", "--jobs", "2"),
         ("count-drawings", "--t", "4", "--l", "4", "--jobs", "2"),
+        ("count-drawings", "--t", "4", "--l", "4", "--triangulation", "k1.json",
+         "--pointset", "p56.json"),
+        ("count-drawings", "--t", "4", "--l", "4", "--pointset", "p56.json"),
+        ("classify", "--pointset", "p56.json", "--jobs", "0"),
+        ("polygons", "--pointset", "p56.json", "--jobs", "-1"),
     ):
         r = run_cli(*args)
         assert r.returncode == 2, args
@@ -283,12 +288,13 @@ def test_whole_outputs_end_in_one_newline_on_the_terminal_and_as_written_in_file
     assert cli.main(["gen", "double-chain", "--t", "3", "--l", "3"]) == 0
     assert capsys.readouterr().out == pf.read_text() + "\n"
     assert cli.main(["gen", "double-chain", "--t", "3", "--l", "3", "-o", str(out)]) == 0
-    assert out.read_text() == pf.read_text()
+    assert out.read_text() == pf.read_text() + "\n"
 
 
-def test_start_up_does_not_import_networkx():
+def test_start_up_does_not_import_the_process_pool():
     r = subprocess.run(
-        [sys.executable, "-c", "import redraw, sys; print('networkx' in sys.modules)"],
+        [sys.executable, "-c",
+         "import redraw, sys; print('concurrent.futures.process' in sys.modules)"],
         capture_output=True, text=True, env=checkout_env(),
     )
     assert r.returncode == 0 and r.stdout == "False\n"
@@ -297,4 +303,4 @@ def test_start_up_does_not_import_networkx():
         capture_output=True, text=True, env=checkout_env(),
     )
     assert r.returncode == 0 and "usage: redraw" in r.stdout
-    assert "networkx" not in r.stderr
+    assert "concurrent.futures.process" not in r.stderr

@@ -3,7 +3,6 @@ import math
 import random
 from collections import Counter
 
-import networkx as nx
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -20,7 +19,9 @@ from redraw.comb import (
     from_straight_line_drawing,
     tutte_count,
 )
+from redraw.drawings import enumerate_geometric_triangulations, to_comb
 from redraw.geometry import Point
+from redraw.pointsets import PointSet, gen_double_chain, gen_nested_triangles
 
 K4_POINTS = [Point(0, 0), Point(40, 0), Point(20, 30), Point(20, 12)]
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
@@ -159,6 +160,47 @@ def test_edge_list_route_rejects_impossible_outer_face():
         from_edge_list(6, octa, (0, 3, 1))
 
 
+def test_edge_list_route_rejects_k33_plus_a_triangle():
+    k33 = [(a, b) for a in range(3) for b in range(3, 6)] + [(0, 1), (1, 2), (0, 2)]
+    assert len(k33) == 3 * 6 - 6  # the edge count of a triangulation
+    with pytest.raises(ValueError, match="not planar"):
+        from_edge_list(6, k33, (0, 3, 1))
+    with pytest.raises(ValueError):
+        from_edge_list(6, k33, (0, 1, 2))
+
+
+def _assert_edge_list_round_trip(t):
+    u = from_edge_list(t.num_vertices, t.edges(), t.outer_face)
+    assert u.outer_face == t.outer_face
+    assert all(comb._cyclic_eq(a, b) for a, b in zip(u.rotations, t.rotations))
+    assert canonical_code(u) == canonical_code(t)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_edge_list_route_gives_back_every_enumerated_structure(n):
+    for t in enumerate_comb_triangulations(n):
+        _assert_edge_list_round_trip(t)
+
+
+def test_edge_list_route_gives_back_drawn_triangulations():
+    sets = [
+        gen_nested_triangles(8),
+        gen_double_chain(3, 4),
+        PointSet(((0, 0), (40, -10), (60, 20), (30, 50), (-10, 30), (20, 15), (28, 22))),
+        PointSet(((0, 0), (30, -10), (60, 0), (70, 30), (30, 50), (-10, 30), (25, 17))),
+        PointSet(tuple((i, i * i + 3) for i in range(7))),
+    ]
+    hulls = set()
+    for ps in sets:
+        for g in enumerate_geometric_triangulations(ps):
+            t = to_comb(g)
+            hulls.add(len(t.outer_face))
+            _assert_edge_list_round_trip(t)
+    assert hulls == {3, 4, 5, 6, 7}
+    for t in (build_k_nested_double_chain(2), build_k_nested_regular(11)):
+        _assert_edge_list_round_trip(t)
+
+
 def test_tutte_counts():
     assert [tutte_count(n) for n in (1, 2, 3, 4)] == [1, 3, 13, 68]
     assert tutte_count(10) == 2 * math.comb(41, 9) // 110
@@ -198,16 +240,11 @@ def _edge_subset_enumeration(n):
             deg[b] += 1
         if nv > 3 and min(deg) < 3:
             continue
-        planar, emb = nx.check_planarity(nx.Graph(edges))
-        if not planar:
+        try:
+            t = from_edge_list(nv, edges, (0, 1, 2))
+        except ValueError:
             continue
-        rots = [tuple(emb.neighbors_cw_order(v)) for v in range(nv)]
-        for cand in (rots, [tuple(reversed(r)) for r in rots]):
-            try:
-                t = CombTriangulation(nv, (0, 1, 2), tuple(cand))
-            except ValueError:
-                continue
-            found.setdefault(canonical_code(t), t)
+        found.setdefault(canonical_code(t), t)
     return [t for _, t in sorted(found.items())]
 
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import functools
 import gc
 import itertools
@@ -157,7 +158,7 @@ def _spy_on_pools(monkeypatch) -> list[str]:
             mapped.append(fn.__name__)
             return super().map(fn, *iterables, **kwargs)
 
-    monkeypatch.setattr(drawings, "ProcessPoolExecutor", Spy)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
     monkeypatch.setattr(drawings.os, "cpu_count", lambda: 2)
     return mapped
 
@@ -194,7 +195,7 @@ def test_jobs_start_at_most_one_worker_per_core_and_task(monkeypatch):
         def __exit__(self, *exc):
             self.shutdown()
 
-    monkeypatch.setattr(drawings, "ProcessPoolExecutor", InProcess)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcess)
     monkeypatch.setattr(drawings.os, "cpu_count", lambda: 4)
     heptagon = PointSet(tuple((i, i * i + 5) for i in range(7)))  # cold index
     assert sum(classify_drawings(heptagon, jobs=100_000).values()) == 42  # 14 states
@@ -240,7 +241,7 @@ def test_pool_workers_need_nothing_from_the_parent(monkeypatch):
     # Spawned workers start from a fresh interpreter, so they can only
     # count with the index that comes with their tasks.
     spawned = functools.partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn"))
-    monkeypatch.setattr(drawings, "ProcessPoolExecutor", spawned)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spawned)
     monkeypatch.setattr(drawings.os, "cpu_count", lambda: 2)
     ps = gen_double_chain(3, 4)
     par = classify_drawings(ps, jobs=2), count_polygonalizations(ps, jobs=2)
