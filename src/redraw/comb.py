@@ -83,8 +83,9 @@ class CombTriangulation:
         outer_face: tuple[int, ...],
         rotations: tuple[tuple[int, ...], ...],
     ) -> CombTriangulation:
-        """Construction without `_validate`, for rotations read off a
-        straight line triangulation that its caller has already checked."""
+        """Construction without `_validate`, for rotations that come from a
+        checked straight line triangulation, from vertex insertion or from a
+        builder's reference drawing.  Tests certify the last two."""
         t = object.__new__(cls)
         object.__setattr__(t, "num_vertices", num_vertices)
         object.__setattr__(t, "outer_face", outer_face)
@@ -474,7 +475,7 @@ def enumerate_comb_triangulations(
         level = grown
     if cap is not None and len(level) > cap:
         raise RuntimeError(f"more than cap={cap} triangulations")
-    return [CombTriangulation(n + 3, outer, level[code]) for code in sorted(level)]
+    return [CombTriangulation._trusted(n + 3, outer, level[code]) for code in sorted(level)]
 
 
 # -- the two recursive families --------------------------------------------
@@ -537,7 +538,8 @@ def build_k_nested_double_chain(k: int) -> CombTriangulation:
         for ra, rb in _LAYER_EDGE_PATTERN:
             edges.add(_norm_edge(roles[ra], roles[rb]))
     edges.add(_norm_edge(2 * k, 6 * k + 3))
-    return from_straight_line_drawing(ps.points, sorted(edges))
+    rotations = rotations_from_drawing(ps.points, edges)
+    return CombTriangulation._trusted(len(ps), tuple(ps.hull()), rotations)
 
 
 def build_k_nested_regular(n: int) -> CombTriangulation:
@@ -573,4 +575,5 @@ def build_k_nested_regular(n: int) -> CombTriangulation:
             _norm_edge(q1, a), _norm_edge(q1, b2), _norm_edge(q1, q2),
             _norm_edge(q2, a), _norm_edge(q2, b2), _norm_edge(q2, c),
         }
-    return from_straight_line_drawing(ps.points, sorted(edges))
+    rotations = rotations_from_drawing(ps.points, edges)
+    return CombTriangulation._trusted(len(ps), tuple(ps.hull()), rotations)

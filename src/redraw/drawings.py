@@ -41,7 +41,7 @@ import hashlib
 import json
 import os
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, repeat
 from typing import Callable, Iterator
 
@@ -75,7 +75,6 @@ class GeomTriangulation:
 
     pointset: PointSet
     edges: frozenset[Edge]
-    triangles: tuple[tuple[int, int, int], ...] = field(init=False)
 
     def __post_init__(self) -> None:
         ix = _index_for(self.pointset)
@@ -111,17 +110,12 @@ class GeomTriangulation:
         # the caller has checked the edges, so the structure needs no validation
         comb = CombTriangulation._trusted(ix.n, tuple(ix.hull), rotations)
         object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "triangles", tuple(comb.faces()))
         object.__setattr__(self, "_comb", comb)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "pointset": json.loads(self.pointset.to_json()),
-                "edges": [list(e) for e in sorted(self.edges)],
-            },
-            separators=(",", ":"),
-        )
+        # the bytes of json.dumps with separators (",", ":"), without a round trip
+        edges = ",".join(f"[{a},{b}]" for a, b in sorted(self.edges))
+        return f'{{"pointset":{self.pointset.to_json()},"edges":[{edges}]}}'
 
     @staticmethod
     def from_json(text: str) -> "GeomTriangulation":
@@ -321,9 +315,9 @@ def _mask_edges(mask: int, ix: _Index) -> frozenset[Edge]:
     return frozenset(ix.pairs[i] for i in range(ix.m_all) if mask >> i & 1)
 
 
-def _guarded_index(ps: PointSet, max_n: int | None) -> _Index:
-    """The index of ps, once ps has passed the enumeration guard."""
-    limit = ENUM_POINT_GUARD if max_n is None else max_n
+def _guarded_index(ps: PointSet, max_n: int | None, guard: int = ENUM_POINT_GUARD) -> _Index:
+    """The index of ps, once ps has passed the guard (max_n if given)."""
+    limit = guard if max_n is None else max_n
     if len(ps) > limit:
         raise ValueError(f"point set size {len(ps)} exceeds guard {limit}")
     return _index_for(ps)
@@ -599,14 +593,6 @@ def is_valid_drawing(
     )
 
 
-def apply_drawing(
-    t: CombTriangulation, ps: PointSet, mapping: DrawingMapping
-) -> GeomTriangulation:
-    if not is_valid_drawing(t, ps, mapping):
-        raise ValueError("assignment is not a valid drawing")
-    return GeomTriangulation(ps, mapping.image_edges(t))
-
-
 def _direct_search(t: CombTriangulation, ix: _Index) -> list[int]:
     """Image edge masks of the assignments drawing t on the indexed set.
 
@@ -675,12 +661,6 @@ def _direct_search(t: CombTriangulation, ix: _Index) -> list[int]:
     return images
 
 
-def count_mappings(t: CombTriangulation, ps: PointSet) -> int:
-    """Number of label assignments drawing t on ps with the boundary pinned."""
-    _check_compatible(t, ps)
-    return len(_direct_search(t, _index_for(ps)))
-
-
 def count_drawings(
     t: CombTriangulation,
     ps: PointSet,
@@ -746,14 +726,10 @@ def count_polygonalizations(
     as it has counted more than `cap` polygons; with jobs > 1 each worker
     checks its own count, and the total is checked at the end.
     """
-    limit = POLYGON_POINT_GUARD if max_n is None else max_n
-    n = len(ps)
-    if n > limit:
-        raise ValueError(f"point set size {n} exceeds guard {limit}")
-    if n < 3:
+    if len(ps) < 3:
         raise ValueError("need at least 3 points")
-    ix = _index_for(ps)
-    seconds = list(range(1, n))
+    ix = _guarded_index(ps, max_n, POLYGON_POINT_GUARD)
+    seconds = list(range(1, ix.n))
     workers = _worker_count(jobs, len(seconds))
     if workers > 1:
         ix.dart_cross  # built here, so that it goes out with the index
@@ -881,19 +857,12 @@ def recursive_layer_count(k: int) -> int:
 # -- rendering ----------------------------------------------------------------
 
 
-def render_svg(
-    gt: GeomTriangulation
-    | tuple[CombTriangulation, DrawingMapping, PointSet],
-) -> str:
+def render_svg(gt: GeomTriangulation) -> str:
     """SVG text for a drawing: labeled dots, straight edges.
 
-    Accepts either a geometric triangulation or a (comb, mapping,
-    pointset) triple.  Output is deterministic, fixed viewport 840x640,
-    coordinates printed with three decimals.
+    Output is deterministic, fixed viewport 840x640, coordinates printed
+    with three decimals.
     """
-    if isinstance(gt, tuple):
-        t, mapping, ps = gt
-        gt = apply_drawing(t, ps, mapping)
     pts = gt.pointset.points
     xs = [p.x for p in pts]
     ys = [p.y for p in pts]

@@ -202,10 +202,7 @@ def validate_nested_triangles(ps: PointSet) -> bool:
     if len(remaining) < 3:
         return False
     while len(remaining) >= 3:
-        try:
-            hull = convex_hull([ps.points[i] for i in remaining])
-        except ValueError:
-            return False
+        hull = convex_hull([ps.points[i] for i in remaining])
         if len(hull) != 3:
             return False
         dropped = {remaining[i] for i in hull}

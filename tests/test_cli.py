@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -107,6 +108,20 @@ def test_enumerate_pointset_stream(tmp_path):
         g = GeomTriangulation.from_json(line)
         assert g.pointset == gen_double_chain(4, 4)
         assert g.to_json() == line
+
+
+# sha256 of what `redraw enumerate --pointset <4+5 double chain> --stream` prints
+STREAM_4_5_SHA256 = "fb23ca8f3e951efe178a628ba0a68d36e947a6b79c23ebc1a8bb845d400abac2"
+
+
+def test_enumerate_stream_bytes_and_order_are_pinned(tmp_path, monkeypatch, capsys):
+    f = tmp_path / "p45.json"
+    f.write_text(gen_double_chain(4, 5).to_json())
+    monkeypatch.delenv("REDRAW_MAX_N", raising=False)
+    assert cli.main(["enumerate", "--pointset", str(f), "--stream"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 350
+    assert hashlib.sha256(out.encode()).hexdigest() == STREAM_4_5_SHA256
 
 
 def test_stream_file_matches_stdout_and_a_failed_stream_writes_no_file(tmp_path):

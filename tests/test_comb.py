@@ -25,6 +25,7 @@ from redraw.pointsets import PointSet, gen_double_chain, gen_nested_triangles
 
 K4_POINTS = [Point(0, 0), Point(40, 0), Point(20, 30), Point(20, 12)]
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+K4_ROTATIONS = ((1, 3, 2), (2, 3, 0), (0, 3, 1), (2, 0, 1))
 
 
 @pytest.fixture
@@ -38,6 +39,7 @@ def test_k4_structure(k4):
     assert k4.edge_count == 6
     assert k4.faces() == [(0, 1, 3), (0, 3, 2), (1, 2, 3)]
     assert k4.degree(3) == 3
+    assert k4.rotations == K4_ROTATIONS
     assert k4.edges() == frozenset((a, b) for a, b in K4_EDGES)
 
 
@@ -127,6 +129,25 @@ def test_validation_rejects_reversed_outer_face(k4):
         CombTriangulation(4, (0, 2, 1), k4.rotations)
 
 
+TWO_TRIANGLES = ((1, 2), (2, 0), (0, 1), (4, 5), (5, 3), (3, 4))
+
+
+@pytest.mark.parametrize("n,outer,rots,message", [
+    (2, (0, 1), ((1,), (0,)), "need at least 3 vertices"),
+    (4, (0, 1, 2), K4_ROTATIONS[:3], "rotation list length differs"),
+    (4, (0, 1), K4_ROTATIONS, "outer face needs at least 3 vertices"),
+    (4, (0, 1, 1), K4_ROTATIONS, "outer face repeats a vertex"),
+    (4, (0, 1, 4), K4_ROTATIONS, "outer face label out of range"),
+    (4, (0, 1, 2), ((1, 3, 2), (2, 3, 0), (0, 3, 1), (2,)), "vertex 3 has fewer than 2"),
+    (4, (0, 1, 2), ((1, 3, 2), (2, 3, 0), (0, 3, 1), (2, 0, 4)), "out of range at vertex 3"),
+    (4, (0, 1, 2), ((1, 2), (2, 3, 0), (0, 3, 1), (2, 0, 1)), "dart 3->0 has no reciprocal"),
+    (6, (0, 1, 2), TWO_TRIANGLES, "graph is not connected"),
+])
+def test_validation_names_each_structural_fault(n, outer, rots, message):
+    with pytest.raises(ValueError, match=message):
+        CombTriangulation(n, outer, rots)
+
+
 def test_straight_line_route_rejects_missing_hull_edge():
     pts = [Point(30, 50), Point(0, 0), Point(60, 0), Point(25, 20), Point(35, 20)]
     edges = [e for e in itertools.combinations(range(5), 2) if e != (1, 2)]
@@ -141,10 +162,26 @@ def test_straight_line_route_rejects_crossings():
         from_straight_line_drawing(pts, edges)
 
 
+def test_straight_line_route_rejects_collinear_points():
+    pts = [Point(0, 0), Point(10, 10), Point(20, 20), Point(0, 20)]
+    with pytest.raises(ValueError, match="general position"):
+        from_straight_line_drawing(pts, K4_EDGES)
+
+
 def test_straight_line_route_rejects_wrong_edge_count():
     edges = [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)]
     with pytest.raises(ValueError, match="edge count"):
         from_straight_line_drawing(K4_POINTS, edges)
+
+
+@pytest.mark.parametrize("edges,outer,message", [
+    (K4_EDGES[:-1] + [(2, 4)], (0, 1, 2), "bad vertex label"),
+    (K4_EDGES, (0, 1, 4), "bad vertex label"),
+    (K4_EDGES[:-1], (0, 1, 2), "no orientation matches the outer face: edge count 5"),
+])
+def test_edge_list_route_rejects_bad_labels_and_edge_counts(edges, outer, message):
+    with pytest.raises(ValueError, match=message):
+        from_edge_list(4, edges, outer)
 
 
 def test_edge_list_route_rejects_non_planar_input():
@@ -383,6 +420,26 @@ def test_band_builder_outer_peel_recursion():
 def test_band_builder_rejects_tiny():
     with pytest.raises(ValueError):
         build_k_nested_regular(2)
+
+
+def test_builders_and_enumeration_pass_every_check(monkeypatch):
+    # Neither the builders nor the enumeration validate what they return;
+    # this is their certificate.  A builder's structure is the one that its
+    # reference drawing gives through every check of the straight line route.
+    for k in range(1, 7):
+        t, ps = build_k_nested_double_chain(k), gen_double_chain(4 * k + 2, 4 * k + 2)
+        assert from_straight_line_drawing(ps.points, t.edges()) == t
+    for n in range(3, 25):
+        t = build_k_nested_regular(n)
+        assert from_straight_line_drawing(gen_nested_triangles(n).points, t.edges()) == t
+    for n in range(5):
+        for t in enumerate_comb_triangulations(n):
+            assert CombTriangulation(t.num_vertices, t.outer_face, t.rotations) == t
+    # a layer pattern short of one edge fails the certificate
+    monkeypatch.setattr(comb, "_LAYER_EDGE_PATTERN", comb._LAYER_EDGE_PATTERN[1:])
+    t = build_k_nested_double_chain(1)
+    with pytest.raises(ValueError, match="edge count"):
+        from_straight_line_drawing(gen_double_chain(6, 6).points, t.edges())
 
 
 def _orbits(t):

@@ -79,6 +79,22 @@ def test_tagged_family_is_checked_on_construction():
         PointSet(((0, 0), (10, 1), (11, 12), (1, 10)), family=NestedTriangles(4))
 
 
+CHAIN_3_3 = [[-4, 49], [0, 33], [4, 49], [-4, -49], [0, -33], [4, -49]]  # gen_double_chain(3, 3)
+
+
+@pytest.mark.parametrize("points,t,l", [
+    (CHAIN_3_3, 3, 2),  # the sizes miss the point count
+    (CHAIN_3_3[:1] + [[0, 60]] + CHAIN_3_3[2:], 3, 3),  # the upper chain turns clockwise
+    (CHAIN_3_3[:4] + [[0, 40]] + CHAIN_3_3[5:], 3, 3),  # a lower point above an upper line
+    ([[0, 10], [10, 10], [4, 0], [5, 9]], 2, 2),  # an upper point below a lower line
+])
+def test_tagged_json_is_checked_against_its_double_chain(points, t, l):
+    PointSet(tuple(map(tuple, points)))  # untagged, the points pass
+    blob = json.dumps({"points": points, "family": {"double_chain": [t, l]}})
+    with pytest.raises(ValueError, match="tagged double chain"):
+        PointSet.from_json(blob)
+
+
 @given(st.integers(1, 7), st.integers(1, 7))
 def test_double_chain_generator_validates(t, l):
     if t + l < 3:
