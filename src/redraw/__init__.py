@@ -1,102 +1,69 @@
-"""Counting how many ways triangulations can be drawn on point sets."""
+"""Counting how many ways triangulations can be drawn on point sets.
 
-from .bounds import (
-    AlphaVector,
-    ConstraintKind,
-    entropy,
-    exponent_rate,
-    exponent_rate_gradient,
-    growth_objective,
-    largest_remainder_parts,
-    multinomial_rate_check,
-    optimize_growth,
-)
-from .comb import (
-    CombTriangulation,
-    build_k_nested_double_chain,
-    build_k_nested_regular,
-    canonical_code,
-    enumerate_comb_triangulations,
-    from_edge_list,
-    from_rotation_json,
-    from_straight_line_drawing,
-    tutte_count,
-)
-from .drawings import (
-    DrawingMapping,
-    GeomTriangulation,
-    classify_drawings,
-    classify_to_csv,
-    count_drawings,
-    count_geometric_triangulations,
-    count_polygonalizations,
-    enumerate_geometric_triangulations,
-    forced_cycle,
-    forced_edges_always_present,
-    forced_hamiltonian_cycle,
-    is_valid_drawing,
-    recursive_layer_count,
-    render_svg,
-    to_comb,
-)
-from .geometry import Orientation, Point, convex_hull, general_position, orient, segments_cross
-from .pointsets import (
-    DoubleChain,
-    NestedTriangles,
-    PointSet,
-    gen_double_chain,
-    gen_nested_triangles,
-    validate_double_chain,
-    validate_nested_triangles,
-)
+Each name in `__all__` is an attribute of the package, yet `import
+redraw` loads no submodule: the first access of a name imports its home
+submodule (PEP 562) and keeps the value in the package.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlphaVector",
-    "CombTriangulation",
-    "ConstraintKind",
-    "DoubleChain",
-    "DrawingMapping",
-    "GeomTriangulation",
-    "NestedTriangles",
-    "Orientation",
-    "Point",
-    "PointSet",
-    "build_k_nested_double_chain",
-    "build_k_nested_regular",
-    "canonical_code",
-    "classify_drawings",
-    "classify_to_csv",
-    "convex_hull",
-    "count_drawings",
-    "count_geometric_triangulations",
-    "count_polygonalizations",
-    "entropy",
-    "enumerate_comb_triangulations",
-    "enumerate_geometric_triangulations",
-    "exponent_rate",
-    "exponent_rate_gradient",
-    "forced_cycle",
-    "forced_edges_always_present",
-    "forced_hamiltonian_cycle",
-    "from_edge_list",
-    "from_rotation_json",
-    "from_straight_line_drawing",
-    "gen_double_chain",
-    "gen_nested_triangles",
-    "general_position",
-    "growth_objective",
-    "is_valid_drawing",
-    "largest_remainder_parts",
-    "multinomial_rate_check",
-    "optimize_growth",
-    "orient",
-    "recursive_layer_count",
-    "render_svg",
-    "segments_cross",
-    "to_comb",
-    "tutte_count",
-    "validate_double_chain",
-    "validate_nested_triangles",
-]
+# public name -> home submodule
+_HOMES = {
+    "AlphaVector": "bounds",
+    "ConstraintKind": "bounds",
+    "entropy": "bounds",
+    "exponent_rate": "bounds",
+    "exponent_rate_gradient": "bounds",
+    "growth_objective": "bounds",
+    "largest_remainder_parts": "bounds",
+    "multinomial_rate_check": "bounds",
+    "optimize_growth": "bounds",
+    "CombTriangulation": "comb",
+    "build_k_nested_double_chain": "comb",
+    "build_k_nested_regular": "comb",
+    "canonical_code": "comb",
+    "enumerate_comb_triangulations": "comb",
+    "from_edge_list": "comb",
+    "from_rotation_json": "comb",
+    "from_straight_line_drawing": "comb",
+    "tutte_count": "comb",
+    "DrawingMapping": "drawings",
+    "GeomTriangulation": "drawings",
+    "classify_drawings": "drawings",
+    "classify_to_csv": "drawings",
+    "count_drawings": "drawings",
+    "count_geometric_triangulations": "drawings",
+    "count_polygonalizations": "drawings",
+    "enumerate_geometric_triangulations": "drawings",
+    "forced_cycle": "drawings",
+    "forced_edges_always_present": "drawings",
+    "forced_hamiltonian_cycle": "drawings",
+    "is_valid_drawing": "drawings",
+    "recursive_layer_count": "drawings",
+    "render_svg": "drawings",
+    "to_comb": "drawings",
+    "Orientation": "geometry",
+    "Point": "geometry",
+    "convex_hull": "geometry",
+    "general_position": "geometry",
+    "orient": "geometry",
+    "segments_cross": "geometry",
+    "DoubleChain": "pointsets",
+    "NestedTriangles": "pointsets",
+    "PointSet": "pointsets",
+    "gen_double_chain": "pointsets",
+    "gen_nested_triangles": "pointsets",
+    "validate_double_chain": "pointsets",
+    "validate_nested_triangles": "pointsets",
+}
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name: str) -> object:
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = globals()[name] = getattr(import_module(f".{_HOMES[name]}", __name__), name)
+    return value

@@ -15,34 +15,45 @@ import argparse
 import json
 import os
 import sys
-from typing import Callable, Iterable, NoReturn, Sequence
+from importlib import import_module
+from typing import TYPE_CHECKING, Callable, Iterable, NoReturn, Sequence
 
-from .bounds import ConstraintKind, exponent_rate, optimize_growth
-from .comb import (
-    build_k_nested_double_chain,
-    build_k_nested_regular,
-    enumerate_comb_triangulations,
-    from_rotation_json,
-    tutte_count,
-)
-from .drawings import (
-    GeomTriangulation,
-    classify_drawings,
-    classify_to_csv,
-    count_drawings,
-    count_geometric_triangulations,
-    count_polygonalizations,
-    enumerate_geometric_triangulations,
-    recursive_layer_count,
-    render_svg,
-)
-from .pointsets import PointSet, gen_double_chain, gen_nested_triangles
+if TYPE_CHECKING:
+    from .pointsets import PointSet
 
-_CONSTRAINT_TOKENS = {
-    "paper": ConstraintKind.DEGREE_MASS,
-    "balance": ConstraintKind.MEAN_DEGREE,
-    "none": ConstraintKind.FREE,
-}
+
+def _lazy(home: str, name: str) -> Callable:
+    """Stand-in for the function `name` of submodule `home`: the submodule
+    is imported when the stand-in is first called, so a command loads only
+    what it runs, and a wrapper bound over the stand-in sees every call."""
+
+    def call(*args, **kwargs):
+        return getattr(import_module(f".{home}", __package__), name)(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+exponent_rate = _lazy("bounds", "exponent_rate")
+optimize_growth = _lazy("bounds", "optimize_growth")
+build_k_nested_double_chain = _lazy("comb", "build_k_nested_double_chain")
+build_k_nested_regular = _lazy("comb", "build_k_nested_regular")
+enumerate_comb_triangulations = _lazy("comb", "enumerate_comb_triangulations")
+from_rotation_json = _lazy("comb", "from_rotation_json")
+tutte_count = _lazy("comb", "tutte_count")
+classify_drawings = _lazy("drawings", "classify_drawings")
+classify_to_csv = _lazy("drawings", "classify_to_csv")
+count_drawings = _lazy("drawings", "count_drawings")
+count_geometric_triangulations = _lazy("drawings", "count_geometric_triangulations")
+count_polygonalizations = _lazy("drawings", "count_polygonalizations")
+enumerate_geometric_triangulations = _lazy("drawings", "enumerate_geometric_triangulations")
+recursive_layer_count = _lazy("drawings", "recursive_layer_count")
+render_svg = _lazy("drawings", "render_svg")
+gen_double_chain = _lazy("pointsets", "gen_double_chain")
+gen_nested_triangles = _lazy("pointsets", "gen_nested_triangles")
+
+# --constraint choice -> name of the ConstraintKind member
+_CONSTRAINT_TOKENS = {"paper": "DEGREE_MASS", "balance": "MEAN_DEGREE", "none": "FREE"}
 
 
 def _read(path: str) -> str:
@@ -74,6 +85,8 @@ class BackendMismatch(Exception):
 
 
 def _load_pointset(args: argparse.Namespace) -> PointSet:
+    from .pointsets import PointSet
+
     return PointSet.from_json(_read(args.pointset))
 
 
@@ -144,7 +157,9 @@ def _cmd_layer_count(args: argparse.Namespace) -> None:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> None:
-    kind = _CONSTRAINT_TOKENS[args.constraint]
+    from .bounds import ConstraintKind
+
+    kind = ConstraintKind[_CONSTRAINT_TOKENS[args.constraint]]
     vec, growth = optimize_growth(kind)
     report = {
         "constraint": kind.value,
@@ -156,6 +171,8 @@ def _cmd_bounds(args: argparse.Namespace) -> None:
 
 
 def _cmd_render(args: argparse.Namespace) -> None:
+    from .drawings import GeomTriangulation
+
     gt = GeomTriangulation.from_json(_read(args.geom))
     _emit(args, render_svg(gt))
 

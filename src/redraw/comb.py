@@ -25,7 +25,6 @@ from math import comb as _binom
 from typing import Iterable, Iterator, Sequence
 
 from .geometry import Point, convex_hull, general_position, segments_cross
-from .pointsets import gen_double_chain, gen_nested_triangles
 
 Edge = tuple[int, int]
 Dart = tuple[int, int]
@@ -525,6 +524,8 @@ def build_k_nested_double_chain(k: int) -> CombTriangulation:
     """
     if k < 1:
         raise ValueError("k >= 1 required")
+    from .pointsets import gen_double_chain  # loaded only when used
+
     ps = gen_double_chain(4 * k + 2, 4 * k + 2)
     tl, tr, bl, br = 0, 4 * k + 1, 4 * k + 2, 8 * k + 3
     edges = {
@@ -555,6 +556,8 @@ def build_k_nested_regular(n: int) -> CombTriangulation:
     """
     if n < 3:
         raise ValueError("n >= 3 required")
+    from .pointsets import gen_nested_triangles  # loaded only when used
+
     ps = gen_nested_triangles(n)
     layers = n // 3
     edges: set[Edge] = set()

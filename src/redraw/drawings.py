@@ -37,7 +37,6 @@ search.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from collections import Counter, defaultdict
@@ -534,6 +533,8 @@ def _class_histogram(ix: _Index, *states: tuple[int, int]) -> dict[bytes, int]:
 
 def classify_to_csv(hist: dict[bytes, int]) -> str:
     """CSV export, one row per class: sha256 of the code, multiplicity."""
+    import hashlib  # loaded only when used: it maps libcrypto
+
     rows = sorted(
         ((hashlib.sha256(code).hexdigest(), mult) for code, mult in hist.items()),
         key=lambda r: (-r[1], r[0]),

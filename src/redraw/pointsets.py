@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import lcm
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .geometry import Orientation, Point, convex_hull, general_position, orient
 
@@ -39,12 +38,14 @@ Family = object  # DoubleChain | NestedTriangles
 class PointSet:
     """Immutable labeled point set, optionally tagged with its family.
 
-    `_index` holds the search tables of `drawings`, built on first use and
-    dropped with the set; it takes no part in equality, hashing or repr."""
+    `_index` holds the search tables of `drawings` and `_json` the text
+    of `to_json`, each made on first use and dropped with the set; they
+    take no part in equality, hashing or repr."""
 
     points: tuple[Point, ...]
     family: Optional[Family] = None
     _index: object = field(default=None, init=False, repr=False, compare=False)
+    _json: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         pts = tuple(Point(int(x), int(y)) for x, y in self.points)
@@ -65,16 +66,19 @@ class PointSet:
         return convex_hull(self.points)
 
     def to_json(self) -> str:
-        if isinstance(self.family, DoubleChain):
-            fam = {"double_chain": [self.family.t, self.family.l]}
-        elif isinstance(self.family, NestedTriangles):
-            fam = {"nested_triangles": self.family.n}
-        else:
-            fam = None
-        return json.dumps(
-            {"points": [[p.x, p.y] for p in self.points], "family": fam},
-            separators=(",", ":"),
-        )
+        if self._json is None:
+            if isinstance(self.family, DoubleChain):
+                fam = {"double_chain": [self.family.t, self.family.l]}
+            elif isinstance(self.family, NestedTriangles):
+                fam = {"nested_triangles": self.family.n}
+            else:
+                fam = None
+            text = json.dumps(
+                {"points": [[p.x, p.y] for p in self.points], "family": fam},
+                separators=(",", ":"),
+            )
+            object.__setattr__(self, "_json", text)
+        return self._json
 
     @staticmethod
     def from_json(text: str) -> "PointSet":
@@ -147,7 +151,10 @@ def validate_double_chain(ps: PointSet, t: int, l: int) -> bool:
     return True
 
 
-FPoint = tuple[Fraction, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    FPoint = tuple[Fraction, Fraction]
 
 
 def _fmix(a: FPoint, b: FPoint, c: FPoint, wa: int, wb: int, wc: int, den: int) -> FPoint:
@@ -166,6 +173,8 @@ def gen_nested_triangles(n: int) -> PointSet:
     radial triple is collinear.  For n % 3 == 1 one extra point sits near
     the innermost centroid; for n % 3 == 2 two extra points straddle it.
     """
+    from fractions import Fraction  # loaded only when used
+
     if n < 3:
         raise ValueError("nested triangles need n >= 3")
     layers = n // 3

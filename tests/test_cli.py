@@ -306,16 +306,38 @@ def test_whole_outputs_end_in_one_newline_on_the_terminal_and_as_written_in_file
     assert out.read_text() == pf.read_text() + "\n"
 
 
-def test_start_up_does_not_import_the_process_pool():
-    r = subprocess.run(
-        [sys.executable, "-c",
-         "import redraw, sys; print('concurrent.futures.process' in sys.modules)"],
-        capture_output=True, text=True, env=checkout_env(),
-    )
-    assert r.returncode == 0 and r.stdout == "False\n"
-    r = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "redraw", "--help"],
-        capture_output=True, text=True, env=checkout_env(),
-    )
-    assert r.returncode == 0 and "usage: redraw" in r.stdout
-    assert "concurrent.futures.process" not in r.stderr
+def loaded_modules(*argv):
+    """Run `python -m redraw *argv` on the checkout in a fresh interpreter,
+    or only `import redraw` when argv is empty; return its stdout and the
+    names in its `sys.modules` at exit."""
+    probe = ("import atexit, runpy, sys\n"
+             "atexit.register(lambda: sys.stderr.write(' '.join(sys.modules)))\n"
+             + ("runpy.run_module('redraw', run_name='__main__', alter_sys=True)"
+                if argv else "import redraw"))
+    r = subprocess.run([sys.executable, "-c", probe, *argv],
+                       capture_output=True, text=True, env=checkout_env())
+    assert r.returncode == 0, r.stderr
+    return r.stdout, set(r.stderr.split())
+
+
+def test_start_up_imports_only_what_the_command_runs():
+    heavy = {"redraw.bounds", "redraw.comb", "redraw.drawings", "redraw.pointsets",
+             "hashlib", "fractions", "dataclasses", "concurrent.futures.process"}
+    _, mods = loaded_modules()
+    assert "redraw" in mods
+    assert not {m for m in mods if m.startswith("redraw.")}
+    assert "concurrent.futures.process" not in mods
+    out, mods = loaded_modules("--help")
+    assert "usage: redraw" in out
+    assert "redraw.cli" in mods and not mods & heavy
+    out, mods = loaded_modules("tutte", "2")
+    assert out == "3\n"
+    assert "redraw.comb" in mods
+    assert not mods & {"redraw.drawings", "redraw.pointsets"}
+    out, mods = loaded_modules("gen", "double-chain", "--t", "3", "--l", "3")
+    assert out == gen_double_chain(3, 3).to_json() + "\n"
+    assert "redraw.pointsets" in mods
+    assert not mods & {"redraw.drawings", "hashlib", "fractions"}
+    out, mods = loaded_modules("layer-count", "2")
+    assert out == "19\n"
+    assert "redraw.drawings" in mods and "hashlib" not in mods

@@ -1,20 +1,39 @@
-"""The package's export list against the names its `__init__` binds."""
+"""The package's lazy namespace against its submodules."""
 
-import ast
-from pathlib import Path
+from importlib import import_module
+
+import pytest
 
 import redraw
 
+SUBMODULES = {"bounds", "cli", "comb", "drawings", "geometry", "pointsets"}
+
 
 def test_all_lists_exactly_the_public_names_bound_in_init():
-    tree = ast.parse(Path(redraw.__file__).read_text())
-    bound = set()
-    for node in tree.body:
-        if isinstance(node, ast.ImportFrom):
-            bound |= {alias.asname or alias.name for alias in node.names}
-        elif isinstance(node, ast.Assign):
-            bound |= {t.id for t in node.targets if isinstance(t, ast.Name)}
-    public = sorted(name for name in bound if not name.startswith("_"))
-    assert redraw.__all__ == public
-    for name in public:
-        assert getattr(redraw, name) is not None
+    assert set(redraw._HOMES.values()) <= SUBMODULES
+    assert redraw.__all__ == sorted(redraw._HOMES)
+    # besides the table's names, only submodules the import system bound
+    bound = {name for name in vars(redraw) if not name.startswith("_")}
+    assert bound - set(redraw.__all__) <= SUBMODULES
+
+
+def test_each_name_is_the_object_its_home_submodule_binds():
+    for name, home in redraw._HOMES.items():
+        value = getattr(import_module(f"redraw.{home}"), name)
+        assert getattr(redraw, name) is value
+        assert vars(redraw)[name] is value  # kept after the first access
+
+
+def test_star_import_binds_every_public_name():
+    ns: dict = {}
+    exec("from redraw import *", ns)
+    del ns["__builtins__"]
+    assert sorted(ns) == redraw.__all__
+    assert all(ns[name] is getattr(redraw, name) for name in ns)
+
+
+def test_unknown_names_raise_attribute_error():
+    for name in ("no_such_name", "_HOMES_", "ENUM_POINT_GUARD"):
+        with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
+            getattr(redraw, name)
+    assert not hasattr(redraw, "nope")

@@ -146,9 +146,12 @@ def test_json_round_trip_preserves_everything():
 
 
 def test_json_is_deterministic():
-    a = gen_double_chain(5, 5).to_json()
-    b = gen_double_chain(5, 5).to_json()
-    assert a == b
+    ps = gen_double_chain(5, 5)
+    a = ps.to_json()
+    assert a == gen_double_chain(5, 5).to_json()
+    assert ps.to_json() is a  # made once per set
+    fresh = gen_double_chain(5, 5)  # no text made yet
+    assert ps == fresh and hash(ps) == hash(fresh) and repr(ps) == repr(fresh)
     blob = json.loads(a)
     assert blob["family"] == {"double_chain": [5, 5]}
 
