@@ -10,12 +10,11 @@ to S's convex hull (outer_face[i] goes to hull[i], both counterclockwise).
 Two counting backends are kept deliberately independent so they can check
 each other.  The oracle backend enumerates the geometric triangulations
 of S, each once, by a depth first search, and compares canonical codes.
-The search drops a partial triangulation as soon as a point has more
-edges than T allows there: a step only adds edges, so no triangulation
-below it could have T's degrees.  The direct backend searches label
-assignments, placing each interior vertex only where every face it closes
-is an empty counterclockwise triangle, and takes each complete assignment
-as a drawing without re-checking it.
+It checks each point's degree against T's at the step that closes the
+point's last open edge, where the degree becomes final.  The direct
+backend searches label assignments, placing each interior vertex only
+where every face it closes is an empty counterclockwise triangle, and
+takes each complete assignment as a drawing without re-checking it.
 
 Triangulations are streamed from that search into each consumer, and
 nothing keeps them past the call: the oracle and the class histogram read
@@ -159,9 +158,10 @@ class _Index:
 
     Every geometric table derives from one orientation table, built once:
     `left[a][b]` is the bitmask of the points strictly left of the directed
-    line a->b.  `PointSet` guarantees general position, so every other
-    point lies strictly on one side and two segments without a common
-    endpoint cross iff each separates the endpoints of the other."""
+    line a->b, filled by one orientation test per triple.  `PointSet`
+    guarantees general position, so a counterclockwise triangle is empty
+    iff no point is left of all three sides, and two segments without a
+    common endpoint cross iff each separates the endpoints of the other."""
 
     def __init__(self, pts: tuple[Point, ...]):
         self.pts = pts
@@ -175,25 +175,23 @@ class _Index:
         self.hull_mask = 0
         for a, b in zip(self.hull, self.hull[1:] + self.hull[:1]):
             self.hull_mask |= 1 << eidm[a][b]
-        everyone = (1 << n) - 1
         left = self.left = [[0] * n for _ in range(n)]
-        for a, b in self.pairs:
-            ax, ay = pts[a]
-            dx, dy = pts[b][0] - ax, pts[b][1] - ay
-            mask = 0
-            for c, (cx, cy) in enumerate(pts):
-                if dx * (cy - ay) - dy * (cx - ax) > 0:
-                    mask |= 1 << c
-            left[a][b] = mask
-            left[b][a] = everyone ^ mask ^ (1 << a) ^ (1 << b)
+        for a, b, c in combinations(range(n), 3):
+            (ax, ay), (bx, by), (cx, cy) = pts[a], pts[b], pts[c]
+            if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) < 0:
+                b, c = c, b
+            left[a][b] |= 1 << c
+            left[b][c] |= 1 << a
+            left[c][a] |= 1 << b
         # empty[a][b]: apexes c of the empty counterclockwise triangles abc
         empty = self.empty = [[0] * n for _ in range(n)]
-        for a in range(n):
-            for b in range(n):
-                lab = left[a][b]
-                for c in range(n):
-                    if lab >> c & 1 and lab & left[b][c] & left[c][a] == 0:
-                        empty[a][b] |= 1 << c
+        for a, b, c in combinations(range(n), 3):
+            if not left[a][b] >> c & 1:  # the orientation, read back
+                b, c = c, b
+            if left[a][b] & left[b][c] & left[c][a] == 0:
+                empty[a][b] |= 1 << c
+                empty[b][c] |= 1 << a
+                empty[c][a] |= 1 << b
         self.incident = [0] * n
         for i, (a, b) in enumerate(self.pairs):
             self.incident[a] |= 1 << i
@@ -237,6 +235,13 @@ class _Index:
                 row |= 1 << (c * n + d) | 1 << (d * n + c)
             rows[a * n + b] = rows[b * n + a] = row
         return rows
+
+    @_built_on_first_use
+    def darts(self) -> list[int]:
+        """darts[p]: the darts p->q and q->p, as bits p*n+q and q*n+p."""
+        n = self.n
+        row, column = (1 << n) - 1, sum(1 << q * n for q in range(n))
+        return [row << p * n | column << p for p in range(n)]
 
     @_built_on_first_use
     def angular(self) -> list[list[tuple[int, int]]]:
@@ -332,14 +337,11 @@ def _triangulations(
     ix: _Index,
     *starts: tuple[int, int],
     cap: int | None = None,
-    bound: list[int] | None = None,
 ) -> Iterator[int]:
     """Yield every triangulation bitmask of the indexed set, each once, in
     no promised order; raise RuntimeError once more than `cap` have come.
-    With a `bound`, skip every triangulation in which some point p has more
-    than bound[p] edges.  With `starts`, yield only the triangulations
-    below those states, one state after the other; with both, each start
-    must be within the bound.
+    With `starts`, yield only the triangulations below those states, one
+    state after the other.
 
     A depth first search over partial triangulations, off a stack.  A
     state is a pair (open, mask): `mask` holds the edges drawn so far, and
@@ -350,9 +352,7 @@ def _triangulations(
     boundary of the unclaimed region, so at a state with none the
     triangles cover the hull once: a triangulation.  The triangle on the
     left of an edge is determined by the triangulation, so each one has
-    exactly one derivation.  A step only adds edges, so below a state
-    where a point already exceeds its bound every triangulation does too,
-    and the search drops the state (`_within`).
+    exactly one derivation.
 
     The steps from a state depend on its open set alone (see
     `count_geometric_triangulations`), so a dict kept for the call holds
@@ -369,10 +369,7 @@ def _triangulations(
             below = memo.get(opened)
             if below is None:
                 below = memo[opened] = [(o, m ^ mask) for o, m in _steps(ix, opened, mask)]
-            if bound is None:
-                stack += [(o, mask | new) for o, new in below]
-            else:
-                stack += _within(ix, bound, mask, below)
+            stack += [(o, mask | new) for o, new in below]
             continue
         count += 1
         if cap is not None and count > cap:
@@ -426,26 +423,75 @@ def _steps(ix: _Index, opened: int, mask: int) -> list[tuple[int, int]]:
     return out
 
 
-def _within(
-    ix: _Index, bound: list[int], mask: int, below: list[tuple[int, int]]
-) -> list[tuple[int, int]]:
-    """The states (open, mask | new) for the pairs (open, new edges) of
-    `below`, less those in which an endpoint p of a new edge has more than
-    bound[p] edges."""
-    pairs, incident = ix.pairs, ix.incident
-    kept = []
-    for o, new in below:
-        m = mask | new
-        while new:
-            low = new & -new
-            new ^= low
-            a, b = pairs[low.bit_length() - 1]
-            if ((m & incident[a]).bit_count() > bound[a]
-                    or (m & incident[b]).bit_count() > bound[b]):
-                break
-        else:
-            kept.append((o, m))
-    return kept
+def _degree_walk(ix: _Index, t: CombTriangulation) -> Iterator[int]:
+    """Yield the masks of `_triangulations`, in its order, that have t's
+    degrees: ix.hull[i] that of t.outer_face[i], the other points t's
+    interior degrees.
+
+    A point without open darts lies inside the claimed region, so the
+    step that closes its last one (`_closing_steps` marks it) fixes its
+    degree.  There a hull point must have its need, t's degree at its
+    vertex; any other point takes its degree out of a counter of t's
+    interior degrees, which has a field of w = n.bit_length() bits,
+    enough for any count up to n, per degree d at bit d * w.  Steps only
+    add edges, so a state is also dropped once a point has more edges
+    than its need, or than any degree left in the counter."""
+    incident, n = ix.incident, ix.n
+    need = [0] * n  # 0 off the hull
+    for p, v in zip(ix.hull, t.outer_face):
+        need[p] = len(t.rotations[v])
+    width = n.bit_length()
+    outer = set(t.outer_face)
+    interior = sum(1 << len(r) * width for v, r in enumerate(t.rotations) if v not in outer)
+    field = (1 << width) - 1
+    memo: dict[int, list[tuple[int, int, int, int]]] = {}
+    stack = [(*_root(ix), interior)]
+    while stack:
+        opened, mask, counter = stack.pop()
+        if not opened:
+            yield mask
+            continue
+        below = memo.get(opened)
+        if below is None:
+            below = memo[opened] = _closing_steps(ix, opened, mask)
+        for o, new, corners, closed in below:
+            m = mask | new
+            rest = counter
+            while corners:
+                bit = corners & -corners
+                corners ^= bit
+                p = bit.bit_length() - 1
+                d = (m & incident[p]).bit_count()
+                if need[p]:
+                    if d > need[p] or bit & closed and d < need[p]:
+                        break
+                elif bit & closed:  # p's degree leaves the counter
+                    if not rest >> d * width & field:
+                        break
+                    rest -= 1 << d * width
+                elif not rest >> d * width:  # no degree as high as d is left
+                    break
+            else:
+                stack.append((o, m, rest))
+
+
+def _closing_steps(ix: _Index, opened: int, mask: int) -> list[tuple[int, int, int, int]]:
+    """The `_steps` of (opened, mask) as (open, new edges, corners of the
+    new triangle, those of its corners left without an open dart)."""
+    darts, n = ix.darts, ix.n
+    low = opened & -opened
+    a, b = divmod(low.bit_length() - 1, n)
+    out = []
+    for o, m in _steps(ix, opened, mask):
+        side = opened ^ o ^ low  # darts of the sides at the apex
+        x, y = divmod((side & -side).bit_length() - 1, n)
+        c = y if x == a or x == b else x
+        closed = 0
+        for p in (a, b, c):
+            if not o & darts[p]:
+                closed |= 1 << p
+        out.append((o, m ^ mask, 1 << a | 1 << b | 1 << c, closed))
+    return out
 
 
 def enumerate_geometric_triangulations(
@@ -673,38 +719,20 @@ def count_drawings(
     structure is t, boundary pinned (outer_face[i] on hull[i]).
 
     backend "direct" searches label assignments, each of which is a
-    distinct drawing; backend "oracle" enumerates the triangulations of
-    ps, after the enumeration guard, and compares canonical codes.  Its
-    search skips every partial triangulation in which some point already
-    has more edges than t has at the matching hull vertex, or, off the
-    hull, than t's largest degree: search steps only add edges, so every
-    triangulation below such a state would fail the degree tests.  The
-    two backends share no counting logic.
+    distinct drawing; backend "oracle" enumerates, after the enumeration
+    guard, the triangulations of ps with t's degrees, each point's checked
+    where it becomes final (`_degree_walk`), and compares canonical codes.
+    The two backends share no counting logic.
     """
-    hull = _check_compatible(t, ps)
+    _check_compatible(t, ps)
     wits: list[GeomTriangulation] | None = None
     if backend == "direct":
         ix = _index_for(ps)
         found = sorted(_direct_search(t, ix))
     elif backend == "oracle":
         ix = _guarded_index(ps, max_n)
-        target = canonical_code(t)
-        corner_deg = [t.degree(v) for v in t.outer_face]
-        deg_ms = sorted(len(r) for r in t.rotations)
-        bound = [deg_ms[-1]] * ix.n
-        for p, d in zip(hull, corner_deg):
-            bound[p] = d
-        code = _mask_coder(ix)
-        found = []
-        for mask in _triangulations(ix, bound=bound):
-            degs = [(mask & ix.incident[v]).bit_count() for v in range(ix.n)]
-            if [degs[p] for p in hull] != corner_deg:
-                continue
-            if sorted(degs) != deg_ms:
-                continue
-            if code(mask) == target:
-                found.append(mask)
-        found.sort()
+        target, code = canonical_code(t), _mask_coder(ix)
+        found = sorted(m for m in _degree_walk(ix, t) if code(m) == target)
     else:
         raise ValueError(f"unknown backend {backend!r}")
     if witnesses:

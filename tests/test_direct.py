@@ -120,6 +120,11 @@ def test_index_tables_match_the_public_predicates(ps):
     for a in range(n):
         for b in range(n):
             for c in range(n):
+                is_left = len({a, b, c}) == 3 and orient(pts[a], pts[b], pts[c]) is Orientation.CCW
+                assert ix.left[a][b] >> c & 1 == is_left
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
                 empty_ccw = (
                     len({a, b, c}) == 3
                     and orient(pts[a], pts[b], pts[c]) is Orientation.CCW

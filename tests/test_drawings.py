@@ -370,7 +370,20 @@ def test_oracle_prunes_by_degree(monkeypatch):
 
     monkeypatch.setattr(drawings, "_steps", counting)
     assert count_drawings(build_k_nested_double_chain(1), ps, backend="oracle")[0] == 1
-    assert 0 < calls < 31680  # 7,864 states expanded
+    # one call per open set reached: 426 with an upper degree bound alone,
+    # 351 with each point's degree checked as it closes; a lost prune
+    # reaches more
+    assert 0 < calls <= 351
+
+
+@pytest.mark.parametrize("n", range(12, 28, 3))
+def test_oracle_counts_bands_beyond_the_guard(n):
+    # band 24 has 18 interior points of degree 6: the degree counter's
+    # fields must hold counts up to n
+    band, ps = build_k_nested_regular(n), gen_nested_triangles(n)
+    drawn = 2 ** (n // 3 - 1)
+    assert count_drawings(band, ps, backend="oracle", max_n=n)[0] == drawn
+    assert count_drawings(band, ps)[0] == drawn
 
 
 @pytest.mark.parametrize("split,drawn", [((8, 4), 1), ((6, 6), 3), ((5, 7), 2)])

@@ -15,6 +15,7 @@ from redraw.drawings import (
     _Index,
     count_geometric_triangulations,
     enumerate_geometric_triangulations,
+    to_comb,
 )
 from redraw.geometry import segments_cross
 from redraw.pointsets import PointSet, gen_double_chain, gen_nested_triangles
@@ -142,12 +143,6 @@ def test_memoized_search_yields_the_plain_search_sequence(monkeypatch, ps):
     monkeypatch.undo()
     assert masks == list(plain_search(ix, root))
     assert len(expanded) == len(set(expanded))  # one `_steps` call per open set
-    # the first triangulation's degrees, plus 2 on even points and 1 on odd
-    first = masks[0]
-    bound = [(first & ix.incident[p]).bit_count() + 2 - p % 2 for p in range(ix.n)]
-    bounded = list(drawings._triangulations(ix, bound=bound))
-    assert bounded == list(plain_search(ix, root, bound))
-    assert first in bounded and len(bounded) < len(masks)
     # from the states two steps below the root, alone and all in one search
     states = drawings._steps(ix, *root)
     states = [s for o, m in states for s in (drawings._steps(ix, o, m) if o else [(o, m)])]
@@ -155,11 +150,81 @@ def test_memoized_search_yields_the_plain_search_sequence(monkeypatch, ps):
     below = [list(plain_search(ix, s)) for s in states]
     for state, expected in zip(states, below):
         assert list(drawings._triangulations(ix, state)) == expected
-        if within(ix, state[1], bound):
-            assert list(drawings._triangulations(ix, state, bound=bound)) == list(
-                plain_search(ix, state, bound)
-            )
     assert list(drawings._triangulations(ix, *states)) == [m for part in below for m in part]
+
+
+@pytest.mark.parametrize("ps", DIFFERENTIAL_SETS, ids=lambda ps: f"{len(ps)}pts")
+def test_degree_walk_yields_the_plain_search_leaves_with_the_degrees(monkeypatch, ps):
+    ix = _Index(ps.points)
+    root = drawings._root(ix)
+    masks = list(plain_search(ix, root))
+    opened = []
+    steps = drawings._steps
+
+    def spy(ix, o, mask):
+        opened.append(o)
+        return steps(ix, o, mask)
+
+    monkeypatch.setattr(drawings, "_steps", spy)
+    list(drawings._triangulations(ix))
+    every_open_set = len(opened)
+    geoms = list(enumerate_geometric_triangulations(ps))
+    for g in (geoms[0], geoms[len(geoms) // 2], geoms[-1]):
+        t = to_comb(g)  # labelled by the points, outer face on the hull
+        hull_deg = [t.degree(v) for v in t.outer_face]
+        deg_ms = sorted(len(r) for r in t.rotations)
+        # the reference: a plain search bounded by t's degrees (the hull
+        # vertex's on the hull, the largest elsewhere), leaves filtered
+        bound = [deg_ms[-1]] * ix.n
+        for p, d in zip(ix.hull, hull_deg):
+            bound[p] = d
+
+        def has_the_degrees(mask):
+            degs = [(mask & ix.incident[p]).bit_count() for p in range(ix.n)]
+            return [degs[p] for p in ix.hull] == hull_deg and sorted(degs) == deg_ms
+
+        expected = [m for m in masks if has_the_degrees(m)]
+        assert [m for m in plain_search(ix, root, bound) if has_the_degrees(m)] == expected
+        opened.clear()
+        walked = list(drawings._degree_walk(ix, t))
+        assert walked == expected
+        assert sum(1 << ix.eidm[a][b] for a, b in g.edges) in walked
+        assert len(opened) == len(set(opened)) < every_open_set  # pruned, memoized
+
+
+@pytest.mark.parametrize("ps", DIFFERENTIAL_SETS[:4], ids=lambda ps: f"{len(ps)}pts")
+def test_closing_steps_mark_the_corners_and_the_points_closed(ps):
+    ix = _Index(ps.points)
+    n = ix.n
+    darts = [sum(1 << p * n + q | 1 << q * n + p for q in range(n)) for p in range(n)]
+    ends = [0] * n
+    for a, b in ix.pairs:
+        ends[a] |= 1 << ix.eidm[a][b]
+        ends[b] |= 1 << ix.eidm[a][b]
+    seen = set()
+    stack = [(*drawings._root(ix), 0)]
+    while stack:
+        opened, mask, done = stack.pop()
+        if not opened or opened in seen:
+            continue
+        seen.add(opened)
+        a, b = divmod((opened & -opened).bit_length() - 1, n)
+        steps = drawings._steps(ix, opened, mask)
+        closing = drawings._closing_steps(ix, opened, mask)
+        assert len(closing) == len(steps)
+        for (o, m), (o2, new, corners, closed) in zip(steps, closing):
+            assert (o2, new) == (o, m ^ mask)
+            # the apex is the one point besides a and b whose darts changed
+            apex = [p for p in range(n) if p not in (a, b) and (opened ^ o) & darts[p]]
+            assert len(apex) == 1
+            assert corners == 1 << a | 1 << b | 1 << apex[0]
+            assert closed == sum(
+                1 << p for p in range(n) if opened & darts[p] and not o & darts[p]
+            )
+            # a closed point has its final degree: no later step draws at it
+            assert not any(done >> p & 1 and new & ends[p] for p in range(n))
+            stack.append((o, m, done | closed))
+    assert len(seen) > 10
 
 
 def catalan(k: int) -> int:
