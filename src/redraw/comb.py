@@ -24,7 +24,7 @@ from functools import cmp_to_key
 from math import comb as _binom
 from typing import Iterable, Iterator, Sequence
 
-from .geometry import Point, convex_hull, general_position, segments_cross
+from .geometry import Point, _integer, convex_hull, general_position, segments_cross
 
 Edge = tuple[int, int]
 Dart = tuple[int, int]
@@ -61,7 +61,7 @@ class CombTriangulation:
     rotations[v] lists the neighbors of v in counterclockwise order;
     outer_face lists the boundary cycle counterclockwise.  Construction
     validates the whole structure and raises ValueError on the first
-    violated invariant.
+    violated invariant, or on a label that is not an integer.
     """
 
     num_vertices: int
@@ -69,9 +69,10 @@ class CombTriangulation:
     rotations: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "outer_face", tuple(int(v) for v in self.outer_face))
+        object.__setattr__(self, "num_vertices", _integer(self.num_vertices))
+        object.__setattr__(self, "outer_face", tuple(map(_integer, self.outer_face)))
         object.__setattr__(
-            self, "rotations", tuple(tuple(int(u) for u in r) for r in self.rotations)
+            self, "rotations", tuple(tuple(map(_integer, r)) for r in self.rotations)
         )
         self._validate()
 
@@ -82,9 +83,11 @@ class CombTriangulation:
         outer_face: tuple[int, ...],
         rotations: tuple[tuple[int, ...], ...],
     ) -> CombTriangulation:
-        """Construction without `_validate`, for rotations that come from a
-        checked straight line triangulation, from vertex insertion or from a
-        builder's reference drawing.  Tests certify the last two."""
+        """Construction without `_validate`, for rotations read off a
+        straight line triangulation (by `from_straight_line_drawing`, which
+        checks the drawing itself, or by `to_comb`, off the point set's
+        index), from vertex insertion or from a builder's reference
+        drawing.  Tests certify each of them."""
         t = object.__new__(cls)
         object.__setattr__(t, "num_vertices", num_vertices)
         object.__setattr__(t, "outer_face", outer_face)
@@ -209,7 +212,7 @@ def from_rotation_json(text: str) -> CombTriangulation:
     """Parse and fully validate the JSON interchange form."""
     data = json.loads(text)
     return CombTriangulation(
-        int(data["num_vertices"]),
+        data["num_vertices"],
         tuple(data["outer_face"]),
         tuple(tuple(r) for r in data["rotations"]),
     )
@@ -286,7 +289,7 @@ def rotations_from_drawing(
     points: Sequence[Point], edges: Iterable[Edge]
 ) -> tuple[tuple[int, ...], ...]:
     """Counterclockwise neighbor orders of a straight line graph."""
-    pts = [Point(int(x), int(y)) for x, y in points]
+    pts = [Point(_integer(x), _integer(y)) for x, y in points]
     adj: list[list[int]] = [[] for _ in pts]
     for a, b in edges:
         adj[a].append(b)
@@ -301,14 +304,16 @@ def from_straight_line_drawing(
 ) -> CombTriangulation:
     """Combinatorial structure of a crossing free straight line triangulation.
 
-    Validates the drawing itself: general position, pairwise crossing
-    freeness, hull edges present, edge count 3n-3-h.  The outer face is
-    the hull cycle, counterclockwise from the lexicographically smallest
-    point.
+    Validates the drawing itself: integer input, general position, edge
+    count 3n-3-h, hull edges present, pairwise crossing freeness.  On
+    points in general position that makes it a triangulation, since any
+    crossing free edge set extends to one and all have 3n-3-h edges, so
+    the structure needs no check of its own.  The outer face is the hull
+    cycle, counterclockwise from the lexicographically smallest point.
     """
-    pts = [Point(int(x), int(y)) for x, y in points]
+    pts = [Point(_integer(x), _integer(y)) for x, y in points]
     n = len(pts)
-    es = sorted({_norm_edge(int(a), int(b)) for a, b in edges})
+    es = sorted({_norm_edge(_integer(a), _integer(b)) for a, b in edges})
     if any(a == b or not (0 <= a < n and 0 <= b < n) for a, b in es):
         raise ValueError("bad edge label")
     if not general_position(pts):
@@ -322,10 +327,10 @@ def from_straight_line_drawing(
         if _norm_edge(a, b) not in eset:
             raise ValueError("hull edge missing from drawing")
     for i, (a, b) in enumerate(es):
-        for c, d in es[i + 1 :]:
-            if segments_cross(pts[a], pts[b], pts[c], pts[d]):
+        for c, d in es[i + 1 :]:  # a <= c; in general position a common end is no crossing
+            if a != c and b != c and b != d and segments_cross(pts[a], pts[b], pts[c], pts[d]):
                 raise ValueError(f"edges {(a, b)} and {(c, d)} cross")
-    return CombTriangulation(n, tuple(hull), rotations_from_drawing(pts, es))
+    return CombTriangulation._trusted(n, tuple(hull), rotations_from_drawing(pts, es))
 
 
 def from_edge_list(

@@ -26,8 +26,10 @@ memory grows with the open sets, not with the triangulations.  What
 outlives a call is the index, tables of the points alone, which each
 point set builds on first use and keeps for as long as it lives.  The
 worker pools send the index with every task, so a worker builds nothing.
-Triangulations built from a search's own masks skip the checks that the
-public constructor runs on user input.
+A drawing is its point set and edges: the public constructor checks user
+input once, with the index-free straight line check, triangulations built
+from a search's own masks skip it, and the structure of either is read
+off the index only when asked for.
 
 Exhaustive operations are guarded: they are meant for desk scale
 instances, and the guards are arguments, not constants baked into the
@@ -53,7 +55,7 @@ from .comb import (
     canonical_code,
     from_straight_line_drawing,
 )
-from .geometry import Point, convex_hull
+from .geometry import Point, _integer, convex_hull
 from .pointsets import DoubleChain, PointSet
 
 # Default ceilings for the exhaustive searches.  Callers can raise them
@@ -67,48 +69,29 @@ POLYGON_POINT_GUARD = 16
 
 @dataclass(frozen=True)
 class GeomTriangulation:
-    """Maximal crossing free straight line graph on a point set, checked
-    against its index: 3n-3-h pairwise non crossing edges (on points in
-    general position, as `PointSet` guarantees) always triangulate."""
+    """Maximal crossing free straight line graph on a point set: the point
+    set and its edges, nothing else.  The public constructor checks the
+    edges with `from_straight_line_drawing`, which reads no index, so a
+    drawing built from user input or JSON builds no index either;
+    `to_comb` reads the structure off the index when asked for it."""
 
     pointset: PointSet
     edges: frozenset[Edge]
 
     def __post_init__(self) -> None:
-        ix = _index_for(self.pointset)
-        edges = frozenset(_norm_edge(int(a), int(b)) for a, b in self.edges)
-        if any(not 0 <= a < b < ix.n for a, b in edges):
-            raise ValueError("bad edge label")
-        expected = 3 * ix.n - 3 - len(ix.hull)
-        if len(edges) != expected:
-            raise ValueError(f"edge count {len(edges)}, expected {expected}")
-        mask = sum(1 << ix.eidm[a][b] for a, b in edges)
-        for a, b in sorted(edges):
-            crossed = ix.cross[ix.eidm[a][b]] & mask
-            if crossed:
-                other = ix.pairs[(crossed & -crossed).bit_length() - 1]
-                raise ValueError(f"edges {(a, b)} and {other} cross")
-        self._derive(ix, edges, _mask_rotator(ix)(mask))
+        edges = frozenset(_norm_edge(_integer(a), _integer(b)) for a, b in self.edges)
+        from_straight_line_drawing(self.pointset.points, edges)
+        object.__setattr__(self, "edges", edges)
 
     @classmethod
-    def _trusted(
-        cls, ps: PointSet, mask: int, rotations: tuple[tuple[int, ...], ...]
-    ) -> GeomTriangulation:
-        """Construction without the checks of `__post_init__`, for a
-        triangulation mask that a search over the index of ps produced,
-        with its rotations."""
+    def _trusted(cls, ps: PointSet, mask: int) -> GeomTriangulation:
+        """Construction without the check of `__post_init__`, for a
+        triangulation mask that a search over the index of ps produced."""
+        pairs = ps._index.pairs
         gt = object.__new__(cls)
         object.__setattr__(gt, "pointset", ps)
-        gt._derive(ps._index, _mask_edges(mask, ps._index), rotations)
+        object.__setattr__(gt, "edges", frozenset(p for i, p in enumerate(pairs) if mask >> i & 1))
         return gt
-
-    def _derive(
-        self, ix: _Index, edges: frozenset[Edge], rotations: tuple[tuple[int, ...], ...]
-    ) -> None:
-        # the caller has checked the edges, so the structure needs no validation
-        comb = CombTriangulation._trusted(ix.n, tuple(ix.hull), rotations)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "_comb", comb)
 
     def to_json(self) -> str:
         # the bytes of json.dumps with separators (",", ":"), without a round trip
@@ -123,8 +106,14 @@ class GeomTriangulation:
 
 
 def to_comb(gt: GeomTriangulation) -> CombTriangulation:
-    """Rotation system of the drawing, outer face = hull cycle."""
-    return gt._comb  # cached at construction
+    """Rotation system of the drawing, outer face = hull cycle, read off
+    the point set's index at each call: each point's neighbors in gt are
+    the points of its `angular` row whose edge bit gt's mask has.  gt is
+    a triangulation, so the structure needs no check."""
+    ix = _index_for(gt.pointset)
+    mask = sum(1 << ix.eidm[a][b] for a, b in gt.edges)
+    rotations = tuple(tuple(w for w, bit in ang if mask & bit) for ang in ix.angular)
+    return CombTriangulation._trusted(ix.n, tuple(ix.hull), rotations)
 
 
 # -- per point set index for mask based search -------------------------------
@@ -284,39 +273,30 @@ def _pooled(task: Callable, ix: _Index, items: list, workers: int, *args) -> lis
             raise
 
 
-def _mask_rotator(ix: _Index) -> Callable[[int], tuple[tuple[int, ...], ...]]:
+def _mask_coder(ix: _Index) -> Callable[[int], bytes]:
     """A function from a triangulation mask of the indexed set to its
-    rotations.
+    canonical code.
 
     A vertex's rotation depends only on its incident edges, and across
     the triangulations of one set the same incident edges recur, so each
-    vertex keeps a dict from them to the rotation read off `angular`.
-    The dicts live as long as the returned function, which callers keep
-    for one pass: on the index they would last for the whole process."""
+    vertex keeps a dict from them to the rotation read off `angular`, as
+    `to_comb` reads it.  The dicts live as long as the returned function,
+    which callers keep for one pass: on the index they would last for the
+    whole process."""
+    n, hull = ix.n, ix.hull
     tables = [(ang, inc, {}) for ang, inc in zip(ix.angular, ix.incident)]
 
-    def rotations(mask: int) -> tuple[tuple[int, ...], ...]:
-        out = []
+    def code(mask: int) -> bytes:
+        rotations = []
         for ang, inc, seen in tables:
             key = mask & inc
             rot = seen.get(key)
             if rot is None:
                 rot = seen[key] = tuple(w for w, bit in ang if key & bit)
-            out.append(rot)
-        return tuple(out)
+            rotations.append(rot)
+        return _code_from_rotations(n, hull, rotations)
 
-    return rotations
-
-
-def _mask_coder(ix: _Index) -> Callable[[int], bytes]:
-    """A function from a triangulation mask of the indexed set to its
-    canonical code, through one `_mask_rotator`."""
-    n, hull, rotations = ix.n, ix.hull, _mask_rotator(ix)
-    return lambda mask: _code_from_rotations(n, hull, rotations(mask))
-
-
-def _mask_edges(mask: int, ix: _Index) -> frozenset[Edge]:
-    return frozenset(ix.pairs[i] for i in range(ix.m_all) if mask >> i & 1)
+    return code
 
 
 def _guarded_index(ps: PointSet, max_n: int | None, guard: int = ENUM_POINT_GUARD) -> _Index:
@@ -499,9 +479,8 @@ def enumerate_geometric_triangulations(
 ) -> Iterator[GeomTriangulation]:
     """Yield every geometric triangulation of ps, deterministic order."""
     ix = _guarded_index(ps, max_n)
-    rotations = _mask_rotator(ix)
     for mask in _enumerate_masks(ix, cap=cap):
-        yield GeomTriangulation._trusted(ps, mask, rotations(mask))
+        yield GeomTriangulation._trusted(ps, mask)
 
 
 def count_geometric_triangulations(
@@ -736,8 +715,7 @@ def count_drawings(
     else:
         raise ValueError(f"unknown backend {backend!r}")
     if witnesses:
-        rotations = _mask_rotator(ix)
-        wits = [GeomTriangulation._trusted(ps, m, rotations(m)) for m in found]
+        wits = [GeomTriangulation._trusted(ps, m) for m in found]
     return len(found), wits
 
 

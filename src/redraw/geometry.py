@@ -7,6 +7,7 @@ floating-point noise.
 
 from __future__ import annotations
 
+import operator
 from enum import Enum
 from typing import Iterable, NamedTuple, Sequence
 
@@ -16,6 +17,15 @@ class Point(NamedTuple):
 
     x: int
     y: int
+
+
+def _integer(value: object) -> int:
+    """value as an int if it is an integer, by `operator.index`, and a
+    ValueError for anything else, 0.5 or "3" too."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"not an integer: {value!r}") from None
 
 
 class Orientation(Enum):
@@ -56,13 +66,13 @@ def segments_cross(a: Point, b: Point, c: Point, d: Point) -> bool:
     interiors all count; two segments that meet only at a shared endpoint
     do not.
     """
-    if {tuple(a), tuple(b)} == {tuple(c), tuple(d)}:
-        return True
     d1 = cross(c, d, a)
     d2 = cross(c, d, b)
     d3 = cross(a, b, c)
     d4 = cross(a, b, d)
-    if ((d1 > 0 > d2) or (d1 < 0 < d2)) and ((d3 > 0 > d4) or (d3 < 0 < d4)):
+    if d1 and d2 and d3 and d4:  # no endpoint on the other segment's line
+        return (d1 > 0) != (d2 > 0) and (d3 > 0) != (d4 > 0)
+    if {tuple(a), tuple(b)} == {tuple(c), tuple(d)}:
         return True
     # Degenerate contacts: an endpoint of one segment lying on the other.
     for p, u, v in ((a, c, d), (b, c, d), (c, a, b), (d, a, b)):

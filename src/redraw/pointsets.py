@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from math import lcm
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .geometry import Orientation, Point, convex_hull, general_position, orient
+from .geometry import Orientation, Point, _integer, convex_hull, general_position, orient
 
 
 @dataclass(frozen=True)
@@ -37,6 +37,7 @@ Family = object  # DoubleChain | NestedTriangles
 @dataclass(frozen=True)
 class PointSet:
     """Immutable labeled point set, optionally tagged with its family.
+    A coordinate that is not an integer, 0.5 or "3", is a ValueError.
 
     `_index` holds the search tables of `drawings` and `_json` the text
     of `to_json`, each made on first use and dropped with the set; they
@@ -48,7 +49,7 @@ class PointSet:
     _json: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        pts = tuple(Point(int(x), int(y)) for x, y in self.points)
+        pts = tuple(Point(_integer(x), _integer(y)) for x, y in self.points)
         object.__setattr__(self, "points", pts)
         if not general_position(pts):
             raise ValueError("points must be distinct and in general position")
@@ -88,13 +89,12 @@ class PointSet:
         if fam_data is not None:
             if "double_chain" in fam_data:
                 t, l = fam_data["double_chain"]
-                family = DoubleChain(int(t), int(l))
+                family = DoubleChain(_integer(t), _integer(l))
             elif "nested_triangles" in fam_data:
-                family = NestedTriangles(int(fam_data["nested_triangles"]))
+                family = NestedTriangles(_integer(fam_data["nested_triangles"]))
             else:
                 raise ValueError(f"unknown family tag: {fam_data}")
-        pts = tuple(Point(int(x), int(y)) for x, y in data["points"])
-        return PointSet(pts, family)
+        return PointSet(tuple(data["points"]), family)
 
 
 def gen_double_chain(t: int, l: int) -> PointSet:

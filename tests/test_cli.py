@@ -96,6 +96,15 @@ def test_enumerate_pointset_file(tmp_path):
     assert r.returncode == 0 and r.stdout == "6\n"
 
 
+def test_enumerate_rejects_a_coordinate_that_is_not_an_integer(tmp_path, capsys):
+    f = tmp_path / "ps.json"
+    f.write_text('{"points":[[0.5,0],[10,1],[0,10]]}')
+    assert cli.main(["enumerate", "--pointset", str(f)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err) == {
+        "error": "ValueError", "message": "not an integer: 0.5"}
+
+
 def test_enumerate_pointset_stream(tmp_path):
     f = tmp_path / "ps.json"
     f.write_text(gen_double_chain(4, 4).to_json())

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 from collections import Counter
@@ -17,6 +18,7 @@ from redraw.comb import (
     from_edge_list,
     from_rotation_json,
     from_straight_line_drawing,
+    rotations_from_drawing,
     tutte_count,
 )
 from redraw.drawings import enumerate_geometric_triangulations, to_comb
@@ -146,6 +148,26 @@ TWO_TRIANGLES = ((1, 2), (2, 0), (0, 1), (4, 5), (5, 3), (3, 4))
 def test_validation_names_each_structural_fault(n, outer, rots, message):
     with pytest.raises(ValueError, match=message):
         CombTriangulation(n, outer, rots)
+
+
+@pytest.mark.parametrize("bad", [0.5, "3"])
+def test_every_route_rejects_labels_and_coordinates_that_are_not_integers(bad):
+    # int() would read "3" as 3, and 0.5 as 0
+    for n, outer, rotations in ((bad, (0, 1, 2), K4_ROTATIONS),
+                                (4, (0, 1, bad), K4_ROTATIONS),
+                                (4, (0, 1, 2), K4_ROTATIONS[:3] + ((2, bad, 1),))):
+        with pytest.raises(ValueError, match="not an integer"):
+            CombTriangulation(n, outer, rotations)
+        text = json.dumps({"num_vertices": n, "outer_face": outer, "rotations": rotations})
+        with pytest.raises(ValueError, match="not an integer"):
+            from_rotation_json(text)
+    points = K4_POINTS[:3] + [(20, bad)]
+    edges = K4_EDGES[:-1] + [(2, bad)]
+    for pts, es in ((points, K4_EDGES), (K4_POINTS, edges)):
+        with pytest.raises(ValueError, match="not an integer"):
+            from_straight_line_drawing(pts, es)
+    with pytest.raises(ValueError, match="not an integer"):
+        rotations_from_drawing(points, K4_EDGES)
 
 
 def test_straight_line_route_rejects_missing_hull_edge():

@@ -1,7 +1,7 @@
 import concurrent.futures
 import functools
 import gc
-import itertools
+import json
 import math
 import multiprocessing
 import weakref
@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import AD_HOC_SETS, NINE_EDGES_A, NINE_EDGES_B, SQUARE, TRIANGLE, random_set
 from redraw.comb import (
+    CombTriangulation,
     build_k_nested_double_chain,
     build_k_nested_regular,
     canonical_code,
@@ -37,7 +38,6 @@ from redraw.drawings import (
     to_comb,
 )
 import redraw.drawings as drawings
-from redraw.geometry import segments_cross
 from redraw.pointsets import PointSet, gen_double_chain, gen_nested_triangles
 
 K4_SET = PointSet(((0, 0), (40, 0), (20, 30), (20, 12)))
@@ -59,6 +59,10 @@ def test_construction_rejects_crossing_edges(pentagon):
     edges = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2), (1, 3)]
     with pytest.raises(ValueError, match="cross"):
         GeomTriangulation(pentagon, edges)
+    # 3n-3-h edges without some hull edge must cross; the hull check comes first
+    two_sides_and_every_diagonal = [(0, 1), (1, 2), (0, 2), (0, 3), (1, 3), (1, 4), (2, 4)]
+    with pytest.raises(ValueError, match="hull edge missing"):
+        GeomTriangulation(pentagon, two_sides_and_every_diagonal)
 
 
 def test_construction_rejects_wrong_edge_count(pentagon):
@@ -67,38 +71,13 @@ def test_construction_rejects_wrong_edge_count(pentagon):
         GeomTriangulation(pentagon, edges)
 
 
-def _raised(build, pts, edges) -> str:
-    with pytest.raises(ValueError) as info:
-        build(pts, edges)
-    return str(info.value)
-
-
-def _perturbations(ps, edges):
-    """Edge sets that are not triangulations of ps: one edge dropped, one
-    interior edge swapped for a missing segment that crosses another edge,
-    and a bad label."""
-    pts = ps.points
-    drawn = sorted(edges)
-    hull = ps.hull()
-    hull_edges = {tuple(sorted(e)) for e in zip(hull, hull[1:] + hull[:1])}
-    yield drawn[1:]
-    for c, d in itertools.combinations(range(len(ps)), 2):
-        if (c, d) in edges:
-            continue
-        crossed = {(a, b) for a, b in drawn if segments_cross(pts[a], pts[b], pts[c], pts[d])}
-        spare = [e for e in drawn if e not in crossed and e not in hull_edges]
-        if spare:
-            yield sorted(edges - {spare[0]} | {(c, d)})
-            break
-    yield drawn[:-1] + [(drawn[-1][0], len(ps))]
-
-
 def test_indexed_construction_agrees_with_the_drawing_check():
-    # GeomTriangulation checks edges against the point set's index;
-    # from_straight_line_drawing reads no index.  They must agree on every
-    # triangulation, and reject the perturbations of every fourth one with
-    # the same message.  Enumeration builds each triangulation from its
-    # mask without those checks, and must give the checked result.
+    # from_straight_line_drawing, which reads no index, is the reference
+    # structure of every triangulation.  Enumeration builds each one from
+    # its mask unchecked, and to_comb reads its rotations off the index:
+    # they must give the reference.  Every fourth triangulation is also
+    # built through the public check, and its reference through every
+    # structural check, since from_straight_line_drawing runs none.
     sets = [PointSet(tuple((i, i * i) for i in range(k))) for k in range(4, 9)]
     sets += [gen_double_chain(t, l) for t in range(2, 6) for l in range(2, t + 1)]
     sets += [gen_nested_triangles(n) for n in range(6, 10)]
@@ -106,14 +85,32 @@ def test_indexed_construction_agrees_with_the_drawing_check():
     for ps in sets:
         for i, g in enumerate(enumerate_geometric_triangulations(ps)):
             ref = from_straight_line_drawing(ps.points, g.edges)
-            again = GeomTriangulation(ps, g.edges)
-            assert to_comb(again).faces() == ref.faces()
-            assert to_comb(again) == ref
-            assert g == again and to_comb(g) == ref  # point set and edges, structure
-            for edges in _perturbations(ps, g.edges) if i % 4 == 0 else ():
-                assert _raised(GeomTriangulation, ps, edges) == _raised(
-                    from_straight_line_drawing, ps.points, edges
-                )
+            t = to_comb(g)
+            assert t == ref and t.faces() == ref.faces()
+            if i % 4 == 0:
+                assert g == GeomTriangulation(ps, g.edges)  # point set and edges
+                assert CombTriangulation(ref.num_vertices, ref.outer_face, ref.rotations) == ref
+
+
+def test_a_public_drawing_builds_no_index():
+    ps = PointSet(K4_SET.points)  # a fresh set, without an index
+    g = GeomTriangulation(ps, K4_EDGES)
+    again = GeomTriangulation.from_json(g.to_json())
+    assert render_svg(again) == render_svg(g)
+    assert ps._index is None and again.pointset._index is None
+    assert to_comb(g) == from_straight_line_drawing(ps.points, K4_EDGES)
+    assert ps._index is not None  # built when the structure is asked for
+
+
+@pytest.mark.parametrize("bad", [0.5, "3"])
+def test_construction_rejects_labels_that_are_not_integers(bad):
+    # int() would read both as labels: "3" completes K4, 0.5 repeats (0, 1)
+    edges = sorted(K4_EDGES - {(1, 3)}) + [(1, bad)]
+    with pytest.raises(ValueError, match="not an integer"):
+        GeomTriangulation(K4_SET, edges)
+    text = json.dumps({"pointset": json.loads(K4_SET.to_json()), "edges": edges})
+    with pytest.raises(ValueError, match="not an integer"):
+        GeomTriangulation.from_json(text)
 
 
 def test_json_round_trip(k4_drawing):
@@ -394,9 +391,21 @@ def test_oracle_witnesses_equal_direct_witnesses(split, drawn):
     direct, direct_wits = count_drawings(t1, ps, witnesses=True)
     assert oracle == direct == drawn
     assert [w.edges for w in oracle_wits] == [w.edges for w in direct_wits]
-    for w in oracle_wits + direct_wits:  # built from masks, unchecked
-        checked = GeomTriangulation(ps, w.edges)
-        assert w == checked and to_comb(w) == to_comb(checked)
+
+
+def test_trusted_drawings_equal_public_ones():
+    # enumeration and both backends' witnesses build drawings from their
+    # masks, unchecked; each must be the drawing the public check builds
+    built = []
+    for t, ps in ((build_k_nested_double_chain(1), gen_double_chain(6, 6)),
+                  (build_k_nested_regular(9), gen_nested_triangles(9))):
+        for backend in ("direct", "oracle"):
+            built += count_drawings(t, ps, backend=backend, witnesses=True)[1]
+    assert len(built) == 2 * 3 + 2 * 4
+    built += enumerate_geometric_triangulations(gen_double_chain(3, 4))
+    for g in built:
+        checked = GeomTriangulation(g.pointset, g.edges)
+        assert g == checked and to_comb(g) == to_comb(checked)
 
 
 def test_unknown_backend_rejected(five_point_set):

@@ -32,6 +32,20 @@ def test_point_set_coerces_tuples_to_points():
     assert len(ps) == 3
 
 
+@pytest.mark.parametrize("bad", [0.5, "3"])
+def test_point_set_rejects_coordinates_that_are_not_integers(bad):
+    # int() would move (0.5, 0) to (0, 0) and read "3" as 3
+    with pytest.raises(ValueError, match="not an integer"):
+        PointSet(((bad, 0), (10, 1), (0, 10)))
+    blob = {"points": [[0, 0], [10, bad], [0, 10]], "family": None}
+    with pytest.raises(ValueError, match="not an integer"):
+        PointSet.from_json(json.dumps(blob))
+    for family in ({"double_chain": [bad, 2]}, {"nested_triangles": bad}):
+        blob = {"points": [[0, 0], [10, 1], [0, 10]], "family": family}
+        with pytest.raises(ValueError, match="not an integer"):
+            PointSet.from_json(json.dumps(blob))
+
+
 def test_double_chain_shape():
     ps = gen_double_chain(4, 4)
     assert len(ps) == 8
