@@ -27,7 +27,6 @@ _HOMES = {
     "from_rotation_json": "comb",
     "from_straight_line_drawing": "comb",
     "tutte_count": "comb",
-    "DrawingMapping": "drawings",
     "GeomTriangulation": "drawings",
     "classify_drawings": "drawings",
     "classify_to_csv": "drawings",

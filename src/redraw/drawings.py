@@ -20,12 +20,13 @@ Triangulations are streamed from that search into each consumer, and
 nothing keeps them past the call: the oracle and the class histogram read
 the stream, the public enumerator sorts its own copy, and the triangulation
 count memoizes the search on its open edges instead of listing anything.
-The steps below a state depend on its open edges alone, so one search
-works each open set's steps out once and keeps them for the call: its
-memory grows with the open sets, not with the triangulations.  What
-outlives a call is the index, tables of the points alone, which each
-point set builds on first use and keeps for as long as it lives.  The
-worker pools send the index with every task, so a worker builds nothing.
+The steps below a state depend on its open edges alone (the argument is
+in `count_geometric_triangulations`), so each walk works each open set's
+steps out once and keeps them for the call: its memory grows with the
+open sets, not with the triangulations.  What outlives a call is the
+index, tables of the points alone, which each point set builds on first
+use and keeps for as long as it lives.  The worker pools send the index
+with every task, so a worker builds nothing.
 A drawing is its point set and edges: the public constructor checks user
 input once, with the index-free straight line check, triangulations built
 from a search's own masks skip it, and the structure of either is read
@@ -334,13 +335,13 @@ def _triangulations(
     left of an edge is determined by the triangulation, so each one has
     exactly one derivation.
 
-    The steps from a state depend on its open set alone (see
+    The steps depend on the open set alone (see
     `count_geometric_triangulations`), so a dict kept for the call holds
-    them per open set, as pairs (open, new edges), and a state reached
-    again takes them from there.  It has one entry per open set, as the
-    count's memo does, and holds no triangulation.
+    them per open set, and a state reached again takes them from there.
+    It has one entry per open set, as the count's memo does, and holds no
+    triangulation.
     """
-    memo: dict[int, list[tuple[int, int]]] = {}
+    memo: dict[int, list[tuple[int, int, int]]] = {}
     stack = list(reversed(starts)) or [_root(ix)]
     count = 0
     while stack:
@@ -348,8 +349,8 @@ def _triangulations(
         if opened:
             below = memo.get(opened)
             if below is None:
-                below = memo[opened] = [(o, m ^ mask) for o, m in _steps(ix, opened, mask)]
-            stack += [(o, mask | new) for o, new in below]
+                below = memo[opened] = _steps(ix, opened, mask)
+            stack += [(o, mask | new) for o, new, _ in below]
             continue
         count += 1
         if cap is not None and count > cap:
@@ -357,66 +358,58 @@ def _triangulations(
         yield mask
 
 
-def _enumerate_masks(ix: _Index, cap: int | None = None) -> list[int]:
-    """All triangulation bitmasks of the indexed set, sorted."""
-    return sorted(_triangulations(ix, cap=cap))
-
-
-def _steps(ix: _Index, opened: int, mask: int) -> list[tuple[int, int]]:
-    """The states one step below (opened, mask), which has an open edge.
+def _steps(ix: _Index, opened: int, mask: int) -> list[tuple[int, int, int]]:
+    """The steps from (opened, mask), which has an open edge, as triples
+    (open set below, new edges, apex); they depend on the open set alone
+    (see `count_geometric_triangulations`).
 
     The lowest open edge a->b is closed by each apex c of an empty
     counterclockwise triangle abc.  Of the sides b->c and c->a, one that
     is open gets closed; one that is drawn but not open has its left side
     claimed, so c is rejected; a new one must cross nothing drawn, and
-    its reverse is opened."""
-    n = ix.n
-    cross = ix.cross
+    its reverse is opened.  The two sides share c, so neither crosses the
+    other, and both tests read `mask` alone."""
+    n, eidm, cross = ix.n, ix.eidm, ix.cross
     low = opened & -opened
     opened ^= low
     a, b = divmod(low.bit_length() - 1, n)
-    row_a, row_b = ix.eidm[a], ix.eidm[b]
     out = []
     apexes = ix.empty[a][b]
     while apexes:
         bit = apexes & -apexes
         apexes ^= bit
         c = bit.bit_length() - 1
-        o, m = opened, mask
-        side = 1 << (b * n + c)
-        if not o & side:
-            e = row_b[c]
-            if m >> e & 1 or cross[e] & m:
-                continue
-            m |= 1 << e
-            side = 1 << (c * n + b)
-        o ^= side  # close the side, or open the reverse of a new one
-        side = 1 << (c * n + a)
-        if not o & side:
-            e = row_a[c]
-            if m >> e & 1 or cross[e] & m:
-                continue
-            m |= 1 << e
-            side = 1 << (a * n + c)
-        o ^= side
-        out.append((o, m))
+        o, new = opened, 0
+        for p, q in ((b, c), (c, a)):
+            side = 1 << (p * n + q)
+            if not o & side:
+                e = eidm[p][q]
+                if mask >> e & 1 or cross[e] & mask:
+                    break
+                new |= 1 << e
+                side = 1 << (q * n + p)
+            o ^= side  # close the side, or open the reverse of a new one
+        else:
+            out.append((o, new, c))
     return out
 
 
 def _degree_walk(ix: _Index, t: CombTriangulation) -> Iterator[int]:
     """Yield the masks of `_triangulations`, in its order, that have t's
     degrees: ix.hull[i] that of t.outer_face[i], the other points t's
-    interior degrees.
+    interior degrees.  It memoizes the steps per open set, as that search
+    does (see `count_geometric_triangulations`).
 
-    A point without open darts lies inside the claimed region, so the
-    step that closes its last one (`_closing_steps` marks it) fixes its
-    degree.  There a hull point must have its need, t's degree at its
-    vertex; any other point takes its degree out of a counter of t's
-    interior degrees, which has a field of w = n.bit_length() bits,
-    enough for any count up to n, per degree d at bit d * w.  Steps only
+    A point without open darts lies inside the claimed region, so at the
+    step that leaves a corner a, b or c of its triangle without one, that
+    corner's degree is final.  There a hull point must have its need, t's
+    degree at its vertex; any other point takes its degree out of a
+    counter of t's interior degrees, which has a field of w =
+    n.bit_length() bits, enough for any count up to n, per degree d at
+    bit d * w.  Steps only
     add edges, so a state is also dropped once a point has more edges
     than its need, or than any degree left in the counter."""
-    incident, n = ix.incident, ix.n
+    incident, darts, n = ix.incident, ix.darts, ix.n
     need = [0] * n  # 0 off the hull
     for p, v in zip(ix.hull, t.outer_face):
         need[p] = len(t.rotations[v])
@@ -424,7 +417,7 @@ def _degree_walk(ix: _Index, t: CombTriangulation) -> Iterator[int]:
     outer = set(t.outer_face)
     interior = sum(1 << len(r) * width for v, r in enumerate(t.rotations) if v not in outer)
     field = (1 << width) - 1
-    memo: dict[int, list[tuple[int, int, int, int]]] = {}
+    memo: dict[int, list[tuple[int, int, int]]] = {}
     stack = [(*_root(ix), interior)]
     while stack:
         opened, mask, counter = stack.pop()
@@ -433,19 +426,18 @@ def _degree_walk(ix: _Index, t: CombTriangulation) -> Iterator[int]:
             continue
         below = memo.get(opened)
         if below is None:
-            below = memo[opened] = _closing_steps(ix, opened, mask)
-        for o, new, corners, closed in below:
+            below = memo[opened] = _steps(ix, opened, mask)
+        a, b = divmod((opened & -opened).bit_length() - 1, n)
+        for o, new, c in below:
             m = mask | new
             rest = counter
-            while corners:
-                bit = corners & -corners
-                corners ^= bit
-                p = bit.bit_length() - 1
+            for p in (a, b, c):
                 d = (m & incident[p]).bit_count()
+                closed = not o & darts[p]
                 if need[p]:
-                    if d > need[p] or bit & closed and d < need[p]:
+                    if d > need[p] or closed and d < need[p]:
                         break
-                elif bit & closed:  # p's degree leaves the counter
+                elif closed:  # p's degree leaves the counter
                     if not rest >> d * width & field:
                         break
                     rest -= 1 << d * width
@@ -455,31 +447,12 @@ def _degree_walk(ix: _Index, t: CombTriangulation) -> Iterator[int]:
                 stack.append((o, m, rest))
 
 
-def _closing_steps(ix: _Index, opened: int, mask: int) -> list[tuple[int, int, int, int]]:
-    """The `_steps` of (opened, mask) as (open, new edges, corners of the
-    new triangle, those of its corners left without an open dart)."""
-    darts, n = ix.darts, ix.n
-    low = opened & -opened
-    a, b = divmod(low.bit_length() - 1, n)
-    out = []
-    for o, m in _steps(ix, opened, mask):
-        side = opened ^ o ^ low  # darts of the sides at the apex
-        x, y = divmod((side & -side).bit_length() - 1, n)
-        c = y if x == a or x == b else x
-        closed = 0
-        for p in (a, b, c):
-            if not o & darts[p]:
-                closed |= 1 << p
-        out.append((o, m ^ mask, 1 << a | 1 << b | 1 << c, closed))
-    return out
-
-
 def enumerate_geometric_triangulations(
     ps: PointSet, cap: int | None = None, max_n: int | None = None
 ) -> Iterator[GeomTriangulation]:
     """Yield every geometric triangulation of ps, deterministic order."""
     ix = _guarded_index(ps, max_n)
-    for mask in _enumerate_masks(ix, cap=cap):
+    for mask in sorted(_triangulations(ix, cap=cap)):
         yield GeomTriangulation._trusted(ps, mask)
 
 
@@ -495,9 +468,11 @@ def count_geometric_triangulations(
     drawn but not open has its left side claimed.  abc holds no point, and
     drawn edges cross no drawn edge, so a drawn edge that enters abc
     crosses one of its new sides, and the crossing test rejects c.  The
-    open edges bound the unclaimed region, so the states below a state,
-    and the number of its completions, depend on its open set alone.
-    Raises RuntimeError if the number exceeds `cap`."""
+    open edges bound the unclaimed region, and the new edges of a step are
+    the sides of abc that are not open, so the steps from a state, triples
+    (open set below, new edges, apex), and the number of its completions
+    depend on its open set alone.  Every walk over the steps memoizes them
+    on that set.  Raises RuntimeError if the number exceeds `cap`."""
     ix = _guarded_index(ps, max_n)
     total = _completions(ix, {}, *_root(ix))
     if cap is not None and total > cap:
@@ -512,7 +487,8 @@ def _completions(ix: _Index, memo: dict[int, int], opened: int, mask: int) -> in
         return 1
     count = memo.get(opened)
     if count is None:
-        count = memo[opened] = sum(_completions(ix, memo, o, m) for o, m in _steps(ix, opened, mask))
+        below = _steps(ix, opened, mask)
+        count = memo[opened] = sum(_completions(ix, memo, o, mask | new) for o, new, _ in below)
     return count
 
 
@@ -535,8 +511,9 @@ def classify_drawings(
     ix = _guarded_index(ps, max_n)
     states = [_root(ix)]
     if jobs > 1:
-        for _ in range(2):
-            states = [s for o, m in states for s in (_steps(ix, o, m) if o else [(o, m)])]
+        for _ in range(2):  # a closed state stays: nothing open, nothing new
+            states = [(o, m | new) for opened, m in states
+                      for o, new, _ in (_steps(ix, opened, m) if opened else [(0, 0, 0)])]
     workers = _worker_count(jobs, len(states))
     if workers == 1:
         return _class_histogram(ix, *states)
@@ -570,17 +547,6 @@ def classify_to_csv(hist: dict[bytes, int]) -> str:
 # -- drawings of a combinatorial triangulation onto a point set --------------
 
 
-@dataclass(frozen=True)
-class DrawingMapping:
-    """Bijection from comb labels to point labels, assignment[v] = point."""
-
-    assignment: tuple[int, ...]
-
-    def image_edges(self, t: CombTriangulation) -> frozenset[Edge]:
-        a = self.assignment
-        return frozenset(_norm_edge(a[u], a[v]) for u, v in t.edges())
-
-
 def _check_compatible(t: CombTriangulation, ps: PointSet) -> list[int]:
     hull = ps.hull()
     if t.num_vertices != len(ps):
@@ -589,25 +555,23 @@ def _check_compatible(t: CombTriangulation, ps: PointSet) -> list[int]:
         raise ValueError("outer face size differs from hull size")
     return hull
 
-def is_valid_drawing(
-    t: CombTriangulation, ps: PointSet, mapping: DrawingMapping
-) -> bool:
-    """Does the assignment draw t on ps, boundary pinned, faces preserved?
+def is_valid_drawing(t: CombTriangulation, ps: PointSet, asg: tuple[int, ...]) -> bool:
+    """Does the assignment, asg[v] the point of vertex v, draw t on ps,
+    boundary pinned, faces preserved?
 
     The image must be a straight line triangulation whose rotation system,
     pulled back through the assignment, is exactly t's (same cyclic
     neighbor orders, same outer face); this reads no point set index.
-    Pinning means assignment[outer_face[i]] is hull[i].
+    Pinning means asg[outer_face[i]] is hull[i].
     """
     hull = _check_compatible(t, ps)
-    asg = mapping.assignment
     n = t.num_vertices
     if sorted(asg) != list(range(n)):
         return False
     if any(asg[v] != hull[i] for i, v in enumerate(t.outer_face)):
         return False
     try:
-        image = from_straight_line_drawing(ps.points, mapping.image_edges(t))
+        image = from_straight_line_drawing(ps.points, ((asg[u], asg[v]) for u, v in t.edges()))
     except ValueError:
         return False
     inv = [0] * n

@@ -6,9 +6,8 @@ from itertools import combinations, permutations
 import pytest
 
 from conftest import PENTAGON, SQUARE, random_set
-from redraw.comb import build_k_nested_regular, from_edge_list
+from redraw.comb import _norm_edge, build_k_nested_regular, from_edge_list
 from redraw.drawings import (
-    DrawingMapping,
     GeomTriangulation,
     _Index,
     count_drawings,
@@ -34,9 +33,8 @@ def brute_force_images(t, ps) -> list[frozenset]:
     for perm in permutations(free_points):
         for v, p in zip(free_vertices, perm):
             asg[v] = p
-        mapping = DrawingMapping(tuple(asg))
-        if is_valid_drawing(t, ps, mapping):
-            images.append(mapping.image_edges(t))
+        if is_valid_drawing(t, ps, tuple(asg)):
+            images.append(frozenset(_norm_edge(asg[u], asg[v]) for u, v in t.edges()))
     return images
 
 

@@ -21,7 +21,6 @@ from redraw.comb import (
     from_straight_line_drawing,
 )
 from redraw.drawings import (
-    DrawingMapping,
     GeomTriangulation,
     classify_drawings,
     classify_to_csv,
@@ -424,15 +423,12 @@ def test_size_compatibility_is_checked(five_point_set, k4_drawing):
 
 def test_mapping_validity(k4_drawing):
     t = to_comb(k4_drawing)
-    assert is_valid_drawing(t, K4_SET, DrawingMapping((0, 1, 2, 3)))
+    # the identity draws t onto the edges it was read from
+    assert set(t.edges()) == K4_EDGES
+    assert is_valid_drawing(t, K4_SET, (0, 1, 2, 3))
     # hull pinning forbids rotating the boundary labels
-    assert not is_valid_drawing(t, K4_SET, DrawingMapping((1, 2, 0, 3)))
-    assert not is_valid_drawing(t, K4_SET, DrawingMapping((0, 0, 2, 3)))
-
-
-def test_mapping_image_edges(k4_drawing):
-    t = to_comb(k4_drawing)
-    assert DrawingMapping((0, 1, 2, 3)).image_edges(t) == K4_EDGES
+    assert not is_valid_drawing(t, K4_SET, (1, 2, 0, 3))
+    assert not is_valid_drawing(t, K4_SET, (0, 0, 2, 3))
 
 
 def test_csv_export():
@@ -520,7 +516,7 @@ def test_forced_edges_are_exactly_the_uncrossed_edges():
             ps = gen_double_chain(t, l)
             ix = drawings._index_for(ps)
             common = ~0
-            for mask in drawings._enumerate_masks(ix):
+            for mask in drawings._triangulations(ix):
                 common &= mask
             uncrossed = {e for i, e in enumerate(ix.pairs) if ix.cross[i] == 0}
             assert {e for i, e in enumerate(ix.pairs) if common >> i & 1} == uncrossed

@@ -11,7 +11,6 @@ import pytest
 from conftest import random_set
 import redraw.drawings as drawings
 from redraw.drawings import (
-    _enumerate_masks,
     _Index,
     count_geometric_triangulations,
     enumerate_geometric_triangulations,
@@ -73,12 +72,14 @@ def test_enumeration_matches_maximal_plane_graphs(ps):
     # triangulation is found once, and the cap is exact
     ix = _Index(ps.points)
     with pytest.raises(RuntimeError, match=f"more than cap={count - 1} triangulations"):
-        _enumerate_masks(ix, cap=count - 1)
-    masks = _enumerate_masks(ix, cap=count)
+        list(drawings._triangulations(ix, cap=count - 1))
+    masks = list(drawings._triangulations(ix, cap=count))
     assert len(masks) == len(set(masks)) == count
-    assert masks == sorted(masks)
+    # the public order is the masks' order
+    public = enumerate_geometric_triangulations(ps)
+    assert [sum(1 << ix.eidm[a][b] for a, b in g.edges) for g in public] == sorted(masks)
     with pytest.raises(RuntimeError, match=f"more than cap={count - 1} triangulations"):
-        _enumerate_masks(ix, cap=count - 1)  # searched again: the index keeps no masks
+        list(drawings._triangulations(ix, cap=count - 1))  # searched again: the index keeps no masks
 
 
 @pytest.mark.parametrize(
@@ -97,8 +98,13 @@ def test_every_state_of_the_search_completes(monkeypatch, ps):
         return below
 
     monkeypatch.setattr(drawings, "_steps", spy)
-    assert len(_enumerate_masks(_Index(ps.points))) > 0
+    assert len(list(drawings._triangulations(_Index(ps.points)))) > 0
     assert not dead
+
+
+def children(ix: _Index, opened: int, mask: int) -> list[tuple[int, int]]:
+    """The states one step below (opened, mask), which has an open edge."""
+    return [(o, mask | new) for o, new, _ in drawings._steps(ix, opened, mask)]
 
 
 def plain_search(ix: _Index, start: tuple[int, int], bound: list[int] | None = None):
@@ -111,7 +117,7 @@ def plain_search(ix: _Index, start: tuple[int, int], bound: list[int] | None = N
         if not opened:
             yield mask
             continue
-        for o, m in drawings._steps(ix, opened, mask):
+        for o, m in children(ix, opened, mask):
             if bound is None or within(ix, m, bound):
                 stack.append((o, m))
 
@@ -144,8 +150,7 @@ def test_memoized_search_yields_the_plain_search_sequence(monkeypatch, ps):
     assert masks == list(plain_search(ix, root))
     assert len(expanded) == len(set(expanded))  # one `_steps` call per open set
     # from the states two steps below the root, alone and all in one search
-    states = drawings._steps(ix, *root)
-    states = [s for o, m in states for s in (drawings._steps(ix, o, m) if o else [(o, m)])]
+    states = [s for o, m in children(ix, *root) for s in (children(ix, o, m) if o else [(o, m)])]
     assert len(states) > 1
     below = [list(plain_search(ix, s)) for s in states]
     for state, expected in zip(states, below):
@@ -192,8 +197,25 @@ def test_degree_walk_yields_the_plain_search_leaves_with_the_degrees(monkeypatch
         assert len(opened) == len(set(opened)) < every_open_set  # pruned, memoized
 
 
+@pytest.mark.parametrize("ps", DIFFERENTIAL_SETS, ids=lambda ps: f"{len(ps)}pts")
+def test_count_expands_each_open_set_of_the_search_once(monkeypatch, ps):
+    expanded = []
+    steps = drawings._steps
+
+    def spy(ix, opened, mask):
+        expanded.append(opened)
+        return steps(ix, opened, mask)
+
+    monkeypatch.setattr(drawings, "_steps", spy)
+    count = count_geometric_triangulations(ps)
+    counted = sorted(expanded)
+    expanded.clear()
+    assert len(list(drawings._triangulations(_Index(ps.points)))) == count
+    assert counted == sorted(expanded)
+
+
 @pytest.mark.parametrize("ps", DIFFERENTIAL_SETS[:4], ids=lambda ps: f"{len(ps)}pts")
-def test_closing_steps_mark_the_corners_and_the_points_closed(ps):
+def test_steps_record_the_open_set_the_new_edges_and_the_apex(ps):
     ix = _Index(ps.points)
     n = ix.n
     darts = [sum(1 << p * n + q | 1 << q * n + p for q in range(n)) for p in range(n)]
@@ -209,21 +231,16 @@ def test_closing_steps_mark_the_corners_and_the_points_closed(ps):
             continue
         seen.add(opened)
         a, b = divmod((opened & -opened).bit_length() - 1, n)
-        steps = drawings._steps(ix, opened, mask)
-        closing = drawings._closing_steps(ix, opened, mask)
-        assert len(closing) == len(steps)
-        for (o, m), (o2, new, corners, closed) in zip(steps, closing):
-            assert (o2, new) == (o, m ^ mask)
+        for o, new, c in drawings._steps(ix, opened, mask):
             # the apex is the one point besides a and b whose darts changed
-            apex = [p for p in range(n) if p not in (a, b) and (opened ^ o) & darts[p]]
-            assert len(apex) == 1
-            assert corners == 1 << a | 1 << b | 1 << apex[0]
-            assert closed == sum(
-                1 << p for p in range(n) if opened & darts[p] and not o & darts[p]
-            )
-            # a closed point has its final degree: no later step draws at it
+            assert [p for p in range(n) if p not in (a, b) and (opened ^ o) & darts[p]] == [c]
+            # the new edges are the sides of abc not drawn yet
+            assert not new & mask
+            assert new == sum(1 << e for e in (ix.eidm[b][c], ix.eidm[c][a]) if not mask >> e & 1)
+            # a point left without open darts has its final degree: no later step draws at it
             assert not any(done >> p & 1 and new & ends[p] for p in range(n))
-            stack.append((o, m, done | closed))
+            closed = sum(1 << p for p in range(n) if opened & darts[p] and not o & darts[p])
+            stack.append((o, mask | new, done | closed))
     assert len(seen) > 10
 
 
