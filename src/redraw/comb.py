@@ -22,7 +22,7 @@ import json
 from dataclasses import dataclass
 from functools import cmp_to_key
 from math import comb as _binom
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .geometry import Point, _integer, convex_hull, general_position, segments_cross
 
@@ -86,7 +86,7 @@ class CombTriangulation:
         """Construction without `_validate`, for rotations read off a
         straight line triangulation (by `from_straight_line_drawing`, which
         checks the drawing itself, or by `to_comb`, off the point set's
-        index), from vertex insertion or from a builder's reference
+        index), from the flip search or from a builder's reference
         drawing.  Tests certify each of them."""
         t = object.__new__(cls)
         object.__setattr__(t, "num_vertices", num_vertices)
@@ -400,52 +400,27 @@ def tutte_count(n: int) -> int:
     return q
 
 
-def _holes(rots: Sequence[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
-    """Counterclockwise polygons into which a new vertex can be coned.
+def _flip(
+    rots: Sequence[tuple[int, ...]], u: int, v: int
+) -> tuple[tuple[int, ...], ...] | None:
+    """Rotations with the edge uv of two internal faces replaced by wx.
 
-    Around a vertex a, consecutive neighbours b, c, d, e give the internal
-    face (a,b,c) [E3], the quadrilateral a,b,c,d left by deleting the
-    interior edge a-c [E4], and the pentagon a,b,c,d,e left by deleting
-    the two inner edges of the fan (a,b,c),(a,c,d),(a,d,e) [E5].  At a
-    corner of the outer face (0,1,2) the walk stops at that face.
+    The faces beside uv are (v, w, u), with w the neighbour before u
+    around v, and (u, x, v), with x the neighbour before v around u.  The
+    new edge goes right after u around w and right after v around x.
+    None when w and x are already adjacent, as wx would be a multi-edge.
     """
-    for a, rot in enumerate(rots):
-        d = len(rot)
-        if a < 3:  # the outer face lies between (a+2)%3 and (a+1)%3
-            i = rot.index((a + 1) % 3)
-            walk = rot[i:] + rot[:i]
-            fans = (d - 1, d - 2, d - 3)  # runs of 1, 2 and 3 faces
-        else:
-            walk = rot + rot[:3]
-            fans = (d, d, d if d > 3 else 0)  # E5 needs five distinct corners
-        for j in range(fans[0]):
-            b, c = walk[j : j + 2]
-            if a < b and a < c:  # each face once
-                yield (a, b, c)
-        for j in range(fans[1]):
-            if a < walk[j + 1]:  # each edge once
-                yield (a, *walk[j : j + 3])
-        for j in range(fans[2]):
-            yield (a, *walk[j : j + 4])
-
-
-def _cone(
-    rots: Sequence[tuple[int, ...]], hole: tuple[int, ...]
-) -> tuple[tuple[int, ...], ...]:
-    """Rotations after adding vertex len(rots) joined to every corner of hole.
-
-    Each corner keeps its neighbours outside the hole and sees the new
-    vertex in place of whatever it saw inside (the deleted chords).
-    """
-    x = len(rots)
+    rv, ru = rots[v], rots[u]
+    w, x = rv[rv.index(u) - 1], ru[ru.index(v) - 1]
+    if x in rots[w]:
+        return None
     out = list(rots)
-    k = len(hole)
-    for i, p in enumerate(hole):
-        rot = rots[p]
-        s = rot.index(hole[(i + 1) % k])  # the inside runs ccw from s to e
-        e = rot.index(hole[i - 1])
-        out[p] = rot[: s + 1] + (x,) + rot[e:] if s < e else rot[e : s + 1] + (x,)
-    out.append(hole)
+    out[u] = tuple(y for y in ru if y != v)
+    out[v] = tuple(y for y in rv if y != u)
+    rw, rx = rots[w], rots[x]
+    i, j = rw.index(u) + 1, rx.index(v) + 1
+    out[w] = rw[:i] + (x,) + rw[i:]
+    out[x] = rx[:j] + (w,) + rx[j:]
     return tuple(out)
 
 
@@ -454,32 +429,37 @@ def enumerate_comb_triangulations(
 ) -> list[CombTriangulation]:
     """Every triangulation with outer face (0,1,2) and n interior vertices.
 
-    Grown level by level from the triangle by vertex insertion (E3, E4,
-    E5 of `_holes`), keeping one structure per canonical code.  By Euler's
-    formula every triangulation has an interior vertex of degree at most
-    5; deleting it and re-triangulating its hole without a multi-edge (at
-    most one diagonal of a quadrilateral and two chords of a pentagon,
-    sharing an end, can already be present) gives a triangulation one
-    level down, so nothing is missed.
-    Output order is deterministic (sorted by code).  Guarded to n <= 4.
+    A depth first search over the flips (`_flip`) of the edges uv with
+    u < v and v > 2, those off the outer face, from the stacked
+    triangulation, where vertex k lies in the face (0, 1, k-1).  It keeps
+    one structure per canonical code, as an isomorphism carries flips to
+    flips.  Such flips join all triangulations of the outer face (Wagner
+    1936): flip edges opposite 0 until 0 is adjacent to every vertex, then
+    flip diagonals of the polygon around 0.  No outer edge is ever flipped.
+    Output order is deterministic (sorted by code).  Guarded to n <= 4;
+    a cap raises RuntimeError as soon as one more structure is found.
     """
     if n < 0:
         raise ValueError("n >= 0 required")
     if n > ENUM_INTERIOR_GUARD:
         raise ValueError(f"interior count {n} exceeds guard {ENUM_INTERIOR_GUARD}")
-    outer = (0, 1, 2)
-    triangle = ((1, 2), (2, 0), (0, 1))
-    level = {_code_from_rotations(3, outer, triangle): triangle}
-    for nv in range(4, n + 4):
-        grown: dict[bytes, tuple[tuple[int, ...], ...]] = {}
-        for rots in level.values():
-            for hole in _holes(rots):
-                child = _cone(rots, hole)
-                grown.setdefault(_code_from_rotations(nv, outer, child), child)
-        level = grown
-    if cap is not None and len(level) > cap:
-        raise RuntimeError(f"more than cap={cap} triangulations")
-    return [CombTriangulation._trusted(n + 3, outer, level[code]) for code in sorted(level)]
+    nv, top, outer = n + 3, n + 2, (0, 1, 2)
+    stacked = [(1, *range(top, 1, -1)), (*range(2, nv), 0), (0, 3, 1) if n else (0, 1)]
+    stacked += [(k - 1, 0, k + 1, 1) for k in range(3, top)]
+    stacked += [(top - 1, 0, 1)] if n else []
+    found: dict[bytes, tuple[tuple[int, ...], ...]] = {}
+    todo = [tuple(stacked)]
+    while todo:
+        rots = todo.pop()
+        code = _code_from_rotations(nv, outer, rots)
+        if code in found:
+            continue
+        found[code] = rots
+        if cap is not None and len(found) > cap:
+            raise RuntimeError(f"more than cap={cap} triangulations")
+        flips = (_flip(rots, u, v) for v in range(3, nv) for u in rots[v] if u < v)
+        todo += [child for child in flips if child is not None]
+    return [CombTriangulation._trusted(nv, outer, found[code]) for code in sorted(found)]
 
 
 # -- the two recursive families --------------------------------------------

@@ -326,35 +326,27 @@ def test_insertion_reaches_tutte_count_past_the_guard(monkeypatch):
         assert t.edge_count == 3 * 8 - 6
 
 
-def test_every_insertion_is_a_valid_triangulation():
-    sizes = set()
+def test_flip_swaps_the_diagonal_of_two_faces():
+    outcomes = set()
     for n in range(4):
         for t in enumerate_comb_triangulations(n):
-            for hole in comb._holes(t.rotations):
-                child = CombTriangulation(n + 4, (0, 1, 2), comb._cone(t.rotations, hole))
-                assert child.degree(n + 3) == len(hole)
-                sizes.add(len(hole))
-    assert sizes == {3, 4, 5}
-
-
-def test_icosahedron_needs_the_degree_five_insertion():
-    # 0 on top, rings 1..5 and 6..10, 11 at the bottom; outer face (0,1,2)
-    ring = range(5)
-    edges = [(0, 1 + i) for i in ring] + [(11, 6 + i) for i in ring]
-    edges += [(1 + i, 1 + (i + 1) % 5) for i in ring]
-    edges += [(6 + i, 6 + (i + 1) % 5) for i in ring]
-    edges += [(1 + i, 6 + i) for i in ring] + [(1 + i, 6 + (i + 1) % 5) for i in ring]
-    ico = from_edge_list(12, edges, (0, 1, 2))
-    assert all(ico.degree(v) == 5 for v in range(3, 12))  # no E3 or E4 parent
-    # delete vertex 11 and fan its pentagon 6..10 from 6
-    chords = [(6, 8), (6, 9)]
-    fan = from_edge_list(11, [e for e in edges if 11 not in e] + chords, (0, 1, 2))
-    codes = {
-        canonical_code(CombTriangulation(12, (0, 1, 2), comb._cone(fan.rotations, hole)))
-        for hole in comb._holes(fan.rotations)
-        if len(hole) == 5
-    }
-    assert canonical_code(ico) in codes
+            rots, edges = t.rotations, t.edges()
+            for u, v in sorted(edges):
+                if v < 3:  # an outer edge
+                    continue
+                w = rots[v][rots[v].index(u) - 1]
+                x = rots[u][rots[u].index(v) - 1]
+                wx = comb._norm_edge(w, x)
+                flipped = comb._flip(rots, u, v)
+                outcomes.add(flipped is None)
+                assert (flipped is None) == (wx in edges)
+                if flipped is None:
+                    continue
+                s = CombTriangulation(t.num_vertices, t.outer_face, flipped)
+                assert s.edges() == edges - {(u, v)} | {wx}
+                back = comb._flip(flipped, *wx)
+                assert all(comb._cyclic_eq(a, b) for a, b in zip(back, rots))
+    assert outcomes == {True, False}
 
 
 def test_enumeration_guard_and_cap():
@@ -373,6 +365,15 @@ def test_canonical_code_is_relabeling_invariant():
     relabeled = CombTriangulation(t.num_vertices, t.outer_face, tuple(rots))
     assert relabeled != t
     assert canonical_code(relabeled) == canonical_code(t)
+
+
+def test_cap_stops_the_search_early(monkeypatch):
+    calls = []
+    code = comb._code_from_rotations
+    monkeypatch.setattr(comb, "_code_from_rotations", lambda *a: calls.append(a) or code(*a))
+    with pytest.raises(RuntimeError, match="cap=5"):
+        enumerate_comb_triangulations(4, cap=5)
+    assert len(calls) <= (5 + 1) * 3 * 4  # 3n flips for each structure found
 
 
 @given(st.integers(0, 3))
