@@ -24,7 +24,7 @@ from functools import cmp_to_key
 from math import comb as _binom
 from typing import Iterable, Sequence
 
-from .geometry import Point, _integer, convex_hull, general_position, segments_cross
+from .geometry import Point, _integer, _parsed, convex_hull, general_position, segments_cross
 
 Edge = tuple[int, int]
 Dart = tuple[int, int]
@@ -85,9 +85,8 @@ class CombTriangulation:
     ) -> CombTriangulation:
         """Construction without `_validate`, for rotations read off a
         straight line triangulation (by `from_straight_line_drawing`, which
-        checks the drawing itself, or by `to_comb`, off the point set's
-        index), from the flip search or from a builder's reference
-        drawing.  Tests certify each of them."""
+        checks it, or by `to_comb`, off the point set's index), from the
+        reverse search or from a builder's drawing.  Tests certify each."""
         t = object.__new__(cls)
         object.__setattr__(t, "num_vertices", num_vertices)
         object.__setattr__(t, "outer_face", outer_face)
@@ -210,12 +209,8 @@ class CombTriangulation:
 
 def from_rotation_json(text: str) -> CombTriangulation:
     """Parse and fully validate the JSON interchange form."""
-    data = json.loads(text)
-    return CombTriangulation(
-        data["num_vertices"],
-        tuple(data["outer_face"]),
-        tuple(tuple(r) for r in data["rotations"]),
-    )
+    return _parsed(text, lambda data: CombTriangulation(
+        data["num_vertices"], tuple(data["outer_face"]), tuple(map(tuple, data["rotations"]))))
 
 
 # -- canonical codes ------------------------------------------------------
@@ -424,20 +419,43 @@ def _flip(
     return tuple(out)
 
 
+def _parent(rots: Sequence[tuple[int, ...]]) -> Edge | None:
+    """The edge whose flip steps towards the stacked triangulation, None
+    on that one.  It reads the rotations at 0 from 1 and at 1 from 2, so
+    it commutes with relabelling.  While 0 misses a vertex: the first edge
+    by position around 0 that joins two neighbours of 0, is not 1-2 and
+    has an apex outside them and 0.  A link edge's flip joins 0 to that
+    apex; a chord's is legal, as the triangle at 0 over it parts its two
+    apexes.  Then: the first edge opposite 1 from 2, not at 0, whose far
+    apex is not adjacent to 1.  Each step raises (deg 0, -edges in N(0), deg 1)."""
+    r0, r1 = rots[0], rots[1]
+    if len(r0) < len(rots) - 1:
+        i, near = r0.index(1), {0, *r0}
+        for a in r0[i:] + r0[:i]:
+            ra, k = rots[a], rots[a].index(0)
+            for j in range(k - 1, k - len(ra), -1):  # clockwise from 0: up the ring
+                if ra[j] in near and {a, ra[j]} != {1, 2} and not {ra[j - 1], ra[j + 1]} <= near:
+                    return a, ra[j]
+    i = r1.index(2)
+    fan = r1[i:] + r1[:i]
+    for b, c in zip(fan, fan[1:-1]):
+        if rots[b][rots[b].index(c) - 1] not in r1:
+            return b, c
+    return None
+
+
 def enumerate_comb_triangulations(
     n: int, cap: int | None = None
 ) -> list[CombTriangulation]:
     """Every triangulation with outer face (0,1,2) and n interior vertices.
 
-    A depth first search over the flips (`_flip`) of the edges uv with
-    u < v and v > 2, those off the outer face, from the stacked
-    triangulation, where vertex k lies in the face (0, 1, k-1).  It keeps
-    one structure per canonical code, as an isomorphism carries flips to
-    flips.  Such flips join all triangulations of the outer face (Wagner
-    1936): flip edges opposite 0 until 0 is adjacent to every vertex, then
-    flip diagonals of the polygon around 0.  No outer edge is ever flipped.
-    Output order is deterministic (sorted by code).  Guarded to n <= 4;
-    a cap raises RuntimeError as soon as one more structure is found.
+    A reverse search (Avis and Fukuda 1996) over the flips (`_flip`) of the
+    edges off the outer face from the stacked triangulation, where vertex k
+    lies in the face (0, 1, k-1): a flip is a child when the child's
+    `_parent` edge is the new edge.  It keeps no table, and no structure
+    comes out twice, as an automorphism that fixes the outer face and keeps
+    orientation is the identity.  Sorted by code, one code per structure.
+    Guarded to n <= 4; a cap raises RuntimeError at the structure past it.
     """
     if n < 0:
         raise ValueError("n >= 0 required")
@@ -447,19 +465,17 @@ def enumerate_comb_triangulations(
     stacked = [(1, *range(top, 1, -1)), (*range(2, nv), 0), (0, 3, 1) if n else (0, 1)]
     stacked += [(k - 1, 0, k + 1, 1) for k in range(3, top)]
     stacked += [(top - 1, 0, 1)] if n else []
-    found: dict[bytes, tuple[tuple[int, ...], ...]] = {}
+    out: list[tuple[tuple[int, ...], ...]] = []
     todo = [tuple(stacked)]
     while todo:
         rots = todo.pop()
-        code = _code_from_rotations(nv, outer, rots)
-        if code in found:
-            continue
-        found[code] = rots
-        if cap is not None and len(found) > cap:
+        out.append(rots)
+        if cap is not None and len(out) > cap:
             raise RuntimeError(f"more than cap={cap} triangulations")
         flips = (_flip(rots, u, v) for v in range(3, nv) for u in rots[v] if u < v)
-        todo += [child for child in flips if child is not None]
-    return [CombTriangulation._trusted(nv, outer, found[code]) for code in sorted(found)]
+        todo += [c for c in flips if c and (p := _parent(c)) and p[1] not in rots[p[0]]]
+    out.sort(key=lambda rots: _code_from_rotations(nv, outer, rots))
+    return [CombTriangulation._trusted(nv, outer, rots) for rots in out]
 
 
 # -- the two recursive families --------------------------------------------

@@ -56,7 +56,7 @@ from .comb import (
     canonical_code,
     from_straight_line_drawing,
 )
-from .geometry import Point, _integer, convex_hull
+from .geometry import Point, _integer, _parsed, convex_hull
 from .pointsets import DoubleChain, PointSet
 
 # Default ceilings for the exhaustive searches.  Callers can raise them
@@ -101,9 +101,8 @@ class GeomTriangulation:
 
     @staticmethod
     def from_json(text: str) -> "GeomTriangulation":
-        data = json.loads(text)
-        ps = PointSet.from_json(json.dumps(data["pointset"]))
-        return GeomTriangulation(ps, frozenset(tuple(e) for e in data["edges"]))
+        return _parsed(text, lambda data: GeomTriangulation(
+            PointSet.from_json(json.dumps(data["pointset"])), frozenset(map(tuple, data["edges"]))))
 
 
 def to_comb(gt: GeomTriangulation) -> CombTriangulation:

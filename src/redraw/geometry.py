@@ -7,9 +7,10 @@ floating-point noise.
 
 from __future__ import annotations
 
+import json
 import operator
 from enum import Enum
-from typing import Iterable, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 
 class Point(NamedTuple):
@@ -26,6 +27,14 @@ def _integer(value: object) -> int:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"not an integer: {value!r}") from None
+
+
+def _parsed(text: str, build: Callable[[Any], Any]) -> Any:
+    """build of the JSON value in text, a wrongly shaped value a ValueError."""
+    try:
+        return build(json.loads(text))
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValueError(f"wrongly shaped JSON: {type(exc).__name__}: {exc}") from None
 
 
 class Orientation(Enum):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from math import lcm
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .geometry import Orientation, Point, _integer, convex_hull, general_position, orient
+from .geometry import Orientation, Point, _integer, _parsed, convex_hull, general_position, orient
 
 
 @dataclass(frozen=True)
@@ -83,18 +83,19 @@ class PointSet:
 
     @staticmethod
     def from_json(text: str) -> "PointSet":
-        data = json.loads(text)
-        fam_data = data.get("family")
-        family: Optional[Family] = None
-        if fam_data is not None:
-            if "double_chain" in fam_data:
-                t, l = fam_data["double_chain"]
-                family = DoubleChain(_integer(t), _integer(l))
-            elif "nested_triangles" in fam_data:
-                family = NestedTriangles(_integer(fam_data["nested_triangles"]))
+        def build(data: dict) -> PointSet:
+            tag = data.get("family")
+            if tag is None:
+                family = None
+            elif "double_chain" in tag:
+                family = DoubleChain(*map(_integer, tag["double_chain"]))
+            elif "nested_triangles" in tag:
+                family = NestedTriangles(_integer(tag["nested_triangles"]))
             else:
-                raise ValueError(f"unknown family tag: {fam_data}")
-        return PointSet(tuple(data["points"]), family)
+                raise ValueError(f"unknown family tag: {tag}")
+            return PointSet(tuple(data["points"]), family)
+
+        return _parsed(text, build)
 
 
 def gen_double_chain(t: int, l: int) -> PointSet:

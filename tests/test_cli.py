@@ -105,6 +105,48 @@ def test_enumerate_rejects_a_coordinate_that_is_not_an_integer(tmp_path, capsys)
         "error": "ValueError", "message": "not an integer: 0.5"}
 
 
+TRIANGLE = '{"points":[[0,0],[10,1],[0,10]]}'
+# each JSON reader, the option that hands it a file, and a wrongly shaped input
+BAD_JSON = [
+    pytest.param(PointSet.from_json, "--pointset",
+                 '{"points":[[0,0],[10,1],[0,10]],"family":3}', id="family-int"),
+    pytest.param(PointSet.from_json, "--pointset", "[]", id="pointset-list"),
+    pytest.param(PointSet.from_json, "--pointset", '{"family":null}', id="points-missing"),
+    pytest.param(PointSet.from_json, "--pointset",
+                 '{"points":[[0,0],[10,1],[0,10]],"family":{"double_chain":3}}',
+                 id="double-chain-int"),
+    pytest.param(from_rotation_json, "--triangulation",
+                 '{"num_vertices":3,"outer_face":[0,1,2]}', id="rotations-missing"),
+    pytest.param(from_rotation_json, "--triangulation",
+                 '{"num_vertices":3,"outer_face":[0,1,2],"rotations":[[1,2],[2,0],1]}',
+                 id="rotation-int"),
+    pytest.param(GeomTriangulation.from_json, "--geom", "[]", id="geom-list"),
+    pytest.param(GeomTriangulation.from_json, "--geom", '{"pointset":' + TRIANGLE + "}",
+                 id="edges-missing"),
+    pytest.param(GeomTriangulation.from_json, "--geom",
+                 '{"pointset":{},"edges":[[0,1],[0,2],[1,2]]}', id="geom-points-missing"),
+]
+
+
+@pytest.mark.parametrize("reader, option, text", BAD_JSON)
+def test_json_readers_reject_wrongly_shaped_input(reader, option, text, tmp_path, capsys):
+    with pytest.raises(ValueError, match="wrongly shaped JSON"):
+        reader(text)
+    f, ps = tmp_path / "in.json", tmp_path / "ps.json"
+    f.write_text(text)
+    ps.write_text(TRIANGLE)
+    argv = {
+        "--pointset": ["enumerate", "--pointset", str(f)],
+        "--triangulation": ["count-drawings", "--triangulation", str(f), "--pointset", str(ps)],
+        "--geom": ["render", "--geom", str(f)],
+    }[option]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    err = json.loads(err)
+    assert out == "" and err["error"] == "ValueError"
+    assert err["message"].startswith("wrongly shaped JSON")
+
+
 def test_enumerate_pointset_stream(tmp_path):
     f = tmp_path / "ps.json"
     f.write_text(gen_double_chain(4, 4).to_json())

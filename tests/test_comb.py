@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -374,6 +375,91 @@ def test_cap_stops_the_search_early(monkeypatch):
     with pytest.raises(RuntimeError, match="cap=5"):
         enumerate_comb_triangulations(4, cap=5)
     assert len(calls) <= (5 + 1) * 3 * 4  # 3n flips for each structure found
+
+
+# sha256 of b"\n".join over the sorted codes of every structure with n
+# interior vertices, as the code-table search found them
+ENUMERATION_SHA256 = {
+    0: "3def1e26642ef375dc5046f78e2c1a319fa8d184855f4e28ec9bed45f01bfa48",
+    1: "80d28e395b87acc3a471782f322fc00441b0a7d043cb5f1bf8db50d303c919df",
+    2: "80f2ca06b5a2e852845e82dc8649cfdf5ee03df3305341abed57895bbfd26b19",
+    3: "3e1dafcbcb7860dc076354842ecc5c2e042a92b4f0a088cea1d3a2bbe4934d09",
+    4: "0668c3d59d21fbf73d7b91803ed5bfedbebf515262fa3ab95ce54f6828e04ea1",
+    5: "cc352660c8d031b524fc41bc7186635094578498b58e1e9d00e3a694dd559c23",
+    6: "12bfcd1b06ec320608b4567d5cb39f0e825e75e5fad4c71d5078b6fb006c3b9e",
+    7: "45bfea304898ccf463b6e2e9016b216f8a81feadc542bf0006fb5858da9210ca",
+}
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_reverse_search_gives_every_structure_once(n, monkeypatch):
+    if n >= 5:
+        monkeypatch.setattr(comb, "ENUM_INTERIOR_GUARD", n)
+    codes = [canonical_code(t) for t in enumerate_comb_triangulations(n)]
+    assert len(codes) == (tutte_count(n) if n else 1)
+    assert codes == sorted(codes)
+    assert hashlib.sha256(b"\n".join(codes)).hexdigest() == ENUMERATION_SHA256[n]
+
+
+def _stacked(n):
+    """Vertex k in the face (0, 1, k-1), for k = 3 .. n+2."""
+    edges = [(0, 1), (0, 2), (1, 2)]
+    edges += [e for k in range(3, n + 3) for e in ((0, k), (1, k), (k - 1, k))]
+    return from_edge_list(n + 3, edges, (0, 1, 2))
+
+
+def _rank(rots):
+    """(deg 0, minus the edges joining two neighbours of 0, deg 1)."""
+    near = set(rots[0])
+    return len(rots[0]), -(sum(u in near for v in near for u in rots[v]) // 2), len(rots[1])
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_parent_rule_steps_towards_the_stacked_triangulation(n, monkeypatch):
+    monkeypatch.setattr(comb, "ENUM_INTERIOR_GUARD", 5)
+    nv, root, rng = n + 3, canonical_code(_stacked(n)), random.Random(n)
+    for t in enumerate_comb_triangulations(n):
+        rots, edge = t.rotations, comb._parent(t.rotations)
+        assert (edge is None) == (canonical_code(t) == root)
+        if edge is None:
+            continue
+        parent = comb._flip(rots, *edge)
+        assert parent is not None
+        CombTriangulation(nv, t.outer_face, parent)  # the full check
+        assert _rank(parent) > _rank(rots)
+        # relabel the interior vertices and start each rotation elsewhere
+        perm = [0, 1, 2] + rng.sample(range(3, nv), n)
+        moved = [()] * nv
+        for v, rot in enumerate(rots):
+            s = rng.randrange(len(rot))
+            moved[perm[v]] = tuple(perm[u] for u in rot[s:] + rot[:s])
+        assert set(comb._parent(moved)) == {perm[edge[0]], perm[edge[1]]}
+
+
+# n = 4: the separating triangle 1-4-2 hides vertex 6 from 0, so no edge
+# opposite 0 has 6 as its far apex
+HIDDEN_6 = ((1, 5, 4, 3, 2), (2, 6, 4, 5, 0), (0, 3, 4, 6, 1), (2, 0, 4),
+            (3, 0, 5, 1, 6, 2), (4, 0, 1), (1, 2, 4))
+
+
+def test_parent_rule_reaches_a_vertex_behind_a_separating_triangle():
+    rots, steps = HIDDEN_6, []
+    for _ in range(2):
+        edge = comb._parent(rots)
+        flipped = comb._flip(rots, *edge)
+        before, after = (CombTriangulation(7, (0, 1, 2), r).edges() for r in (rots, flipped))
+        steps.append((set(edge), after - before))
+        rots = flipped
+    assert steps == [({1, 4}, {(5, 6)}), ({1, 5}, {(0, 6)})]
+
+
+def test_cap_stops_the_search_after_few_flips(monkeypatch):
+    calls = []
+    flip = comb._flip
+    monkeypatch.setattr(comb, "_flip", lambda *a: calls.append(a) or flip(*a))
+    with pytest.raises(RuntimeError, match="cap=5"):
+        enumerate_comb_triangulations(4, cap=5)
+    assert 0 < len(calls) <= (5 + 1) * 3 * 4  # 3n flips for each structure found
 
 
 @given(st.integers(0, 3))
