@@ -23,7 +23,9 @@ count memoizes the search on its open edges instead of listing anything.
 The steps below a state depend on its open edges alone (the argument is
 in `count_geometric_triangulations`), so each walk works each open set's
 steps out once and keeps them for the call: its memory grows with the
-open sets, not with the triangulations.  What outlives a call is the
+open sets, not with the triangulations.  Working a set's steps out is a
+read of the index's step table, which holds, per dart, a record of each
+triangle that could close it.  What outlives a call is the
 index, tables of the points alone, which each point set builds on first
 use and keeps for as long as it lives.  The worker pools send the index
 with every task, so a worker builds nothing.
@@ -91,7 +93,12 @@ class GeomTriangulation:
         pairs = ps._index.pairs
         gt = object.__new__(cls)
         object.__setattr__(gt, "pointset", ps)
-        object.__setattr__(gt, "edges", frozenset(p for i, p in enumerate(pairs) if mask >> i & 1))
+        edges = []
+        while mask:  # the set bits, inline: a generator over them costs a fifth more
+            low = mask & -mask
+            mask ^= low
+            edges.append(pairs[low.bit_length() - 1])
+        object.__setattr__(gt, "edges", frozenset(edges))
         return gt
 
     def to_json(self) -> str:
@@ -149,8 +156,10 @@ class _Index:
     `left[a][b]` is the bitmask of the points strictly left of the directed
     line a->b, filled by one orientation test per triple.  `PointSet`
     guarantees general position, so a counterclockwise triangle is empty
-    iff no point is left of all three sides, and two segments without a
-    common endpoint cross iff each separates the endpoints of the other."""
+    iff no point is left of all three sides, and `cross` too is read off
+    `left`, one mask operation per edge and point left of it and one per
+    crossing.  `step_table` holds, per dart, every step a triangulation
+    walk can take from it, so `_steps` computes nothing but mask tests."""
 
     def __init__(self, pts: tuple[Point, ...]):
         self.pts = pts
@@ -192,20 +201,15 @@ class _Index:
 
     @_built_on_first_use
     def cross(self) -> list[int]:
-        """cross[i]: the edge ids whose segments properly cross edge i."""
-        left, pairs, m = self.left, self.pairs, self.m_all
-        cross = [0] * m
-        for i, (a, b) in enumerate(pairs):
-            lab = left[a][b]
-            for j in range(i + 1, m):
-                c, d = pairs[j]
-                if c == a or c == b or d == a or d == b:
-                    continue
-                lcd = left[c][d]
-                if (lab >> c ^ lab >> d) & (lcd >> a ^ lcd >> b) & 1:
-                    cross[i] |= 1 << j
-                    cross[j] |= 1 << i
-        return cross
+        """cross[i]: the edge ids whose segments properly cross edge i.  A
+        segment cd with c left of a->b crosses ab exactly when d is right
+        of a->b and left of just one of a->c and b->c: in the wedge at c
+        between the rays towards a and b, or in the opposite wedge, which
+        lies left of a->b."""
+        left, eidm = self.left, self.eidm
+        return [sum(1 << eidm[c][d] for c in _bits(left[a][b])
+                    for d in _bits(left[b][a] & (left[a][c] ^ left[b][c])))
+                for a, b in self.pairs]
 
     @_built_on_first_use
     def dart_cross(self) -> list[int]:
@@ -214,15 +218,9 @@ class _Index:
         d*n+c."""
         n, pairs = self.n, self.pairs
         rows = [0] * (n * n)
-        for i, (a, b) in enumerate(pairs):
-            row = 0
-            crossed = self.cross[i]
-            while crossed:
-                low = crossed & -crossed
-                crossed ^= low
-                c, d = pairs[low.bit_length() - 1]
-                row |= 1 << (c * n + d) | 1 << (d * n + c)
-            rows[a * n + b] = rows[b * n + a] = row
+        for (a, b), crossed in zip(pairs, self.cross):
+            rows[a * n + b] = rows[b * n + a] = sum(
+                1 << (c * n + d) | 1 << (d * n + c) for c, d in map(pairs.__getitem__, _bits(crossed)))
         return rows
 
     @_built_on_first_use
@@ -231,6 +229,26 @@ class _Index:
         n = self.n
         row, column = (1 << n) - 1, sum(1 << q * n for q in range(n))
         return [row << p * n | column << p for p in range(n)]
+
+    @_built_on_first_use
+    def step_table(self) -> list[tuple[tuple[int, ...], ...]]:
+        """step_table[a*n+b]: for each apex c of an empty counterclockwise
+        triangle abc, in increasing order, the record that `_steps` reads:
+        c, then for each of the sides b->c and c->a the bits of the dart
+        and of its reverse, the bit of the edge, and the edge's blocking
+        mask, its own bit and those of the edges crossing it.  The records
+        share one int per dart and one per edge."""
+        n, eidm, empty = self.n, self.eidm, self.empty
+        dart = [1 << d for d in range(n * n)]
+        edge = [1 << e for e in range(self.m_all)]
+        block = [x | bit for x, bit in zip(self.cross, edge)]
+
+        def side(p: int, q: int) -> tuple[int, int, int, int]:
+            e = eidm[p][q]
+            return dart[p * n + q], dart[q * n + p], edge[e], block[e]
+
+        return [tuple((c, *side(b, c), *side(c, a)) for c in _bits(empty[a][b]))
+                for a in range(n) for b in range(n)]
 
     @_built_on_first_use
     def angular(self) -> list[list[tuple[int, int]]]:
@@ -243,6 +261,14 @@ class _Index:
             order = _ccw_neighbor_order(pts[v], others, pts)
             out.append([(w, 1 << eidm[v][w]) for w in order])
         return out
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
 
 
 def _index_for(ps: PointSet) -> _Index:
@@ -367,29 +393,25 @@ def _steps(ix: _Index, opened: int, mask: int) -> list[tuple[int, int, int]]:
     is open gets closed; one that is drawn but not open has its left side
     claimed, so c is rejected; a new one must cross nothing drawn, and
     its reverse is opened.  The two sides share c, so neither crosses the
-    other, and both tests read `mask` alone."""
-    n, eidm, cross = ix.n, ix.eidm, ix.cross
+    other, and both tests read `mask` alone: one AND with the side's
+    blocking mask, which `step_table` holds with the rest of the record."""
     low = opened & -opened
     opened ^= low
-    a, b = divmod(low.bit_length() - 1, n)
     out = []
-    apexes = ix.empty[a][b]
-    while apexes:
-        bit = apexes & -apexes
-        apexes ^= bit
-        c = bit.bit_length() - 1
-        o, new = opened, 0
-        for p, q in ((b, c), (c, a)):
-            side = 1 << (p * n + q)
-            if not o & side:
-                e = eidm[p][q]
-                if mask >> e & 1 or cross[e] & mask:
-                    break
-                new |= 1 << e
-                side = 1 << (q * n + p)
-            o ^= side  # close the side, or open the reverse of a new one
+    for c, bc, cb, ebc, xbc, ca, ac, eca, xca in ix.step_table[low.bit_length() - 1]:
+        if opened & bc:  # close the side
+            o, new = opened ^ bc, 0
+        elif mask & xbc:
+            continue
+        else:  # draw it, and open its reverse
+            o, new = opened | cb, ebc
+        if o & ca:
+            o ^= ca
+        elif mask & xca:
+            continue
         else:
-            out.append((o, new, c))
+            o, new = o | ac, new | eca
+        out.append((o, new, c))
     return out
 
 
@@ -486,8 +508,10 @@ def _completions(ix: _Index, memo: dict[int, int], opened: int, mask: int) -> in
         return 1
     count = memo.get(opened)
     if count is None:
-        below = _steps(ix, opened, mask)
-        count = memo[opened] = sum(_completions(ix, memo, o, mask | new) for o, new, _ in below)
+        count = 0  # a loop: sum() over a generator adds a generator frame per state
+        for o, new, _ in _steps(ix, opened, mask):
+            count += _completions(ix, memo, o, mask | new)
+        memo[opened] = count
     return count
 
 
@@ -516,7 +540,7 @@ def classify_drawings(
     workers = _worker_count(jobs, len(states))
     if workers == 1:
         return _class_histogram(ix, *states)
-    ix.cross, ix.angular  # built here, so that they go out with the index
+    ix.step_table, ix.angular  # built here, so that they go out with the index
     hist: Counter[bytes] = Counter()
     for part in _pooled(_class_histogram, ix, states, workers):
         hist.update(part)

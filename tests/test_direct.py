@@ -133,3 +133,37 @@ def test_index_tables_match_the_public_predicates(ps):
                     )
                 )
                 assert ix.empty[a][b] >> c & 1 == empty_ccw
+
+
+@pytest.mark.parametrize(
+    "ps",
+    [gen_double_chain(t, l) for t, l in [(3, 3), (5, 5), (4, 7)]]
+    + [gen_nested_triangles(n) for n in (9, 12)]
+    + [random_set(seed, size) for seed, size in [(5, 7), (6, 9), (7, 11)]],
+    ids=lambda ps: f"{len(ps)}pts",
+)
+def test_step_table_records_match_the_public_predicates(ps):
+    ix = _Index(ps.points)
+    pts = ps.points
+    n = len(pts)
+    pairs = list(combinations(range(n), 2))
+    eid = {pair: i for i, pair in enumerate(pairs)}
+    sides = {}  # side p->q: its dart, its reverse, its edge, the edge and those crossing it
+    for p, q in permutations(range(n), 2):
+        e = eid[_norm_edge(p, q)]
+        crossing = sum(1 << j for j, (c, d) in enumerate(pairs)
+                       if segments_cross(pts[p], pts[q], pts[c], pts[d]))
+        sides[p, q] = (1 << p * n + q, 1 << q * n + p, 1 << e, crossing | 1 << e)
+    for a in range(n):
+        assert ix.step_table[a * n + a] == ()
+    for a, b in permutations(range(n), 2):
+        apexes = [
+            c for c in range(n)
+            if c not in (a, b)
+            and orient(pts[a], pts[b], pts[c]) is Orientation.CCW
+            and not any(strictly_inside(pts[p], pts[a], pts[b], pts[c]) for p in range(n) if p not in (a, b, c))
+        ]
+        assert ix.step_table[a * n + b] == tuple((c, *sides[b, c], *sides[c, a]) for c in apexes)
+    # one int object per dart, per edge bit and per blocking mask, shared by the records
+    shared = {id(x) for records in ix.step_table for record in records for x in record[1:]}
+    assert len(shared) <= n * n + 2 * len(pairs)

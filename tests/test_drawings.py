@@ -4,6 +4,7 @@ import gc
 import json
 import math
 import multiprocessing
+import pickle
 import weakref
 from concurrent.futures import ProcessPoolExecutor
 
@@ -241,6 +242,39 @@ def test_pool_workers_need_nothing_from_the_parent(monkeypatch):
     par = classify_drawings(ps, jobs=2), count_polygonalizations(ps, jobs=2)
     assert par == (classify_drawings(ps), count_polygonalizations(ps))
     assert sum(par[0].values()) == 20 and par[1] == 44
+
+
+def test_pool_workers_build_no_table(monkeypatch):
+    # Each task gets a pickled copy of the index, as a worker does; a table
+    # that a task had to build would show up among the copy's attributes.
+    built = []
+
+    class Pickling:
+        def __init__(self, max_workers):
+            pass
+
+        def map(self, fn, indexes, *iterables):
+            def task(ix, *args):
+                copy = pickle.loads(pickle.dumps(ix))
+                tables = set(vars(copy))
+                out = fn(copy, *args)
+                built.extend(set(vars(copy)) - tables)
+                return out
+            return map(task, indexes, *iterables)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pickling)
+    monkeypatch.setattr(drawings.os, "cpu_count", lambda: 2)
+    ps = PointSet(tuple((i, i * i + 11) for i in range(8)))  # convex, cold index
+    assert sum(classify_drawings(ps, jobs=2).values()) == 132
+    assert "step_table" in vars(drawings._index_for(ps))
+    assert count_polygonalizations(ps, jobs=2) == 1
+    assert built == []
 
 
 def test_enumeration_cap(five_point_set):
