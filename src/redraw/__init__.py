@@ -7,7 +7,7 @@ submodule (PEP 562) and keeps the value in the package.
 
 __version__ = "0.1.0"
 
-# public name -> home submodule
+# public name -> home submodule, for the package and the command line alike
 _HOMES = {
     "AlphaVector": "bounds",
     "ConstraintKind": "bounds",

@@ -164,11 +164,6 @@ def largest_remainder_parts(n: int, alpha: Sequence[float]) -> tuple[int, ...]:
     return tuple(parts)
 
 
-def _log2_big(x: int) -> float:
-    e = max(x.bit_length() - 53, 0)
-    return math.log2(x >> e) + e
-
-
 def multinomial_rate_check(n: int, alpha: AlphaVector | Sequence[float]) -> float:
     """Exact log2(n choose parts)/n for the rounded split of n by alpha.
 
@@ -184,4 +179,4 @@ def multinomial_rate_check(n: int, alpha: AlphaVector | Sequence[float]) -> floa
         den *= math.factorial(p)
     coeff = num // den
     assert coeff * den == num
-    return _log2_big(coeff) / n
+    return math.log2(coeff) / n

@@ -15,42 +15,41 @@ import argparse
 import json
 import os
 import sys
-from importlib import import_module
 from typing import TYPE_CHECKING, Callable, Iterable, NoReturn, Sequence
 
 if TYPE_CHECKING:
     from .pointsets import PointSet
 
 
-def _lazy(home: str, name: str) -> Callable:
-    """Stand-in for the function `name` of submodule `home`: the submodule
-    is imported when the stand-in is first called, so a command loads only
-    what it runs, and a wrapper bound over the stand-in sees every call."""
+def _lazy(name: str) -> Callable:
+    """Stand-in for the package's function `name`, whose submodule is
+    imported when the stand-in is first called: a command loads only what
+    it runs, and a wrapper bound over the stand-in sees every call."""
 
     def call(*args, **kwargs):
-        return getattr(import_module(f".{home}", __package__), name)(*args, **kwargs)
+        return getattr(sys.modules[__package__], name)(*args, **kwargs)
 
     call.__name__ = call.__qualname__ = name
     return call
 
 
-exponent_rate = _lazy("bounds", "exponent_rate")
-optimize_growth = _lazy("bounds", "optimize_growth")
-build_k_nested_double_chain = _lazy("comb", "build_k_nested_double_chain")
-build_k_nested_regular = _lazy("comb", "build_k_nested_regular")
-enumerate_comb_triangulations = _lazy("comb", "enumerate_comb_triangulations")
-from_rotation_json = _lazy("comb", "from_rotation_json")
-tutte_count = _lazy("comb", "tutte_count")
-classify_drawings = _lazy("drawings", "classify_drawings")
-classify_to_csv = _lazy("drawings", "classify_to_csv")
-count_drawings = _lazy("drawings", "count_drawings")
-count_geometric_triangulations = _lazy("drawings", "count_geometric_triangulations")
-count_polygonalizations = _lazy("drawings", "count_polygonalizations")
-enumerate_geometric_triangulations = _lazy("drawings", "enumerate_geometric_triangulations")
-recursive_layer_count = _lazy("drawings", "recursive_layer_count")
-render_svg = _lazy("drawings", "render_svg")
-gen_double_chain = _lazy("pointsets", "gen_double_chain")
-gen_nested_triangles = _lazy("pointsets", "gen_nested_triangles")
+exponent_rate = _lazy("exponent_rate")
+optimize_growth = _lazy("optimize_growth")
+build_k_nested_double_chain = _lazy("build_k_nested_double_chain")
+build_k_nested_regular = _lazy("build_k_nested_regular")
+enumerate_comb_triangulations = _lazy("enumerate_comb_triangulations")
+from_rotation_json = _lazy("from_rotation_json")
+tutte_count = _lazy("tutte_count")
+classify_drawings = _lazy("classify_drawings")
+classify_to_csv = _lazy("classify_to_csv")
+count_drawings = _lazy("count_drawings")
+count_geometric_triangulations = _lazy("count_geometric_triangulations")
+count_polygonalizations = _lazy("count_polygonalizations")
+enumerate_geometric_triangulations = _lazy("enumerate_geometric_triangulations")
+recursive_layer_count = _lazy("recursive_layer_count")
+render_svg = _lazy("render_svg")
+gen_double_chain = _lazy("gen_double_chain")
+gen_nested_triangles = _lazy("gen_nested_triangles")
 
 # --constraint choice -> name of the ConstraintKind member
 _CONSTRAINT_TOKENS = {"paper": "DEGREE_MASS", "balance": "MEAN_DEGREE", "none": "FREE"}

@@ -22,7 +22,7 @@ import json
 from dataclasses import dataclass
 from functools import cmp_to_key
 from math import comb as _binom
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .geometry import Point, _integer, _parsed, convex_hull, general_position, segments_cross
 
@@ -110,31 +110,18 @@ class CombTriangulation:
     # -- face structure -----------------------------------------------
 
     def faces(self) -> list[tuple[int, int, int]]:
-        """All internal triangular faces, counterclockwise, lowest label first.
-
-        The face left of dart u->v is (v, w, u), with w the neighbor before
-        u in v's rotation, so each face is read off the rotation of its
-        lowest vertex.  At outer_face[i] the wedge ending at outer_face[i+1]
-        is the outer face."""
-        outer = self.outer_face
-        outer_wedge = dict(zip(outer, outer[1:] + outer[:1]))
-        out = []
-        for v, rot in enumerate(self.rotations):
-            skip = outer_wedge.get(v)
-            w = rot[-1]
-            for u in rot:
-                if v < w and v < u and u != skip:
-                    out.append((v, w, u))
-                w = u
-        return sorted(out)
+        """All internal triangular faces, counterclockwise, lowest label
+        first: each is the wedge of `_wedges` at its lowest vertex."""
+        return sorted((v, w, u) for v, w, u in _wedges(self.outer_face, self.rotations)
+                      if v < w and v < u)
 
     # -- validation -----------------------------------------------------
 
     def _validate(self) -> None:
         """Raise ValueError on the first violated invariant.
 
-        After the structural checks come two local ones, with the rule of
-        `faces`.  Around outer_face[i] the neighbor before
+        After the structural checks come two local ones, with the wedges
+        of `_wedges`.  Around outer_face[i] the neighbor before
         outer_face[i+1] must be outer_face[i-1], so the outer face is a
         face; and for every other wedge (v, w, u) the neighbor before v
         around w must be u, so the face left of u->v is a triangle.
@@ -185,14 +172,10 @@ class CombTriangulation:
             rot = rots[v]
             if rot[rot.index(outer_wedge[v]) - 1] != outer[i - 1]:
                 raise ValueError("designated outer face is not a face")
-        for v, rot in enumerate(rots):
-            skip = outer_wedge.get(v)
-            w = rot[-1]
-            for u in rot:
-                around_w = rots[w]
-                if u != skip and around_w[around_w.index(v) - 1] != u:
-                    raise ValueError("internal face is not a triangle")
-                w = u
+        for v, w, u in _wedges(outer, rots):
+            around_w = rots[w]
+            if around_w[around_w.index(v) - 1] != u:
+                raise ValueError("internal face is not a triangle")
 
     # -- serialization ---------------------------------------------------
 
@@ -205,6 +188,22 @@ class CombTriangulation:
             },
             separators=(",", ":"),
         )
+
+
+def _wedges(
+    outer: tuple[int, ...], rots: tuple[tuple[int, ...], ...]
+) -> Iterator[tuple[int, int, int]]:
+    """Every wedge (v, w, u), w the neighbor before u in v's rotation, but
+    the outer face's: at outer_face[i], the wedge ending at outer_face[i+1].
+    The face left of dart u->v is (v, w, u)."""
+    outer_end = dict(zip(outer, outer[1:] + outer[:1]))
+    for v, rot in enumerate(rots):
+        skip = outer_end.get(v)
+        w = rot[-1]
+        for u in rot:
+            if u != skip:
+                yield v, w, u
+            w = u
 
 
 def from_rotation_json(text: str) -> CombTriangulation:

@@ -45,6 +45,7 @@ import json
 import os
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, repeat
 from typing import Callable, Iterator
 
@@ -126,27 +127,6 @@ def to_comb(gt: GeomTriangulation) -> CombTriangulation:
 # -- per point set index for mask based search -------------------------------
 
 
-class _built_on_first_use:
-    """A table of the index built on first read, like
-    `functools.cached_property`, but stored with `setattr`.  Writing into
-    the instance `__dict__`, as cached_property does, makes every later
-    attribute read on the index slower under CPython 3.11 (about twice as
-    slow in a timing loop)."""
-
-    def __init__(self, build: Callable[[_Index], list]) -> None:
-        self.build = build
-
-    def __set_name__(self, owner: type, name: str) -> None:
-        self.name = name
-
-    def __get__(self, ix: _Index | None, owner: type | None = None):
-        if ix is None:
-            return self
-        table = self.build(ix)
-        setattr(ix, self.name, table)
-        return table
-
-
 class _Index:
     """Per point set tables.  Edge ids index the lexicographic pair list;
     a triangulation is a bitmask over edge ids.  The index holds tables of
@@ -195,11 +175,12 @@ class _Index:
             self.incident[a] |= 1 << i
             self.incident[b] |= 1 << i
 
-    # The tables below are built on first use: a direct count reads none
-    # of them.  A caller that starts workers touches the ones they read
-    # first, so that those go out with the pickled index.
+    # The tables below are built on first use and kept in the instance
+    # `__dict__`: a direct count reads none of them.  A caller that starts
+    # workers touches the ones they read first, so that those go out with
+    # the pickled index.
 
-    @_built_on_first_use
+    @cached_property
     def cross(self) -> list[int]:
         """cross[i]: the edge ids whose segments properly cross edge i.  A
         segment cd with c left of a->b crosses ab exactly when d is right
@@ -211,7 +192,7 @@ class _Index:
                     for d in _bits(left[b][a] & (left[a][c] ^ left[b][c])))
                 for a, b in self.pairs]
 
-    @_built_on_first_use
+    @cached_property
     def dart_cross(self) -> list[int]:
         """dart_cross[a*n+b]: `cross` over darts.  Both a*n+b and b*n+a
         hold, for every segment cd crossing ab, both darts c*n+d and
@@ -223,14 +204,14 @@ class _Index:
                 1 << (c * n + d) | 1 << (d * n + c) for c, d in map(pairs.__getitem__, _bits(crossed)))
         return rows
 
-    @_built_on_first_use
+    @cached_property
     def darts(self) -> list[int]:
         """darts[p]: the darts p->q and q->p, as bits p*n+q and q*n+p."""
         n = self.n
         row, column = (1 << n) - 1, sum(1 << q * n for q in range(n))
         return [row << p * n | column << p for p in range(n)]
 
-    @_built_on_first_use
+    @cached_property
     def step_table(self) -> list[tuple[tuple[int, ...], ...]]:
         """step_table[a*n+b]: for each apex c of an empty counterclockwise
         triangle abc, in increasing order, the record that `_steps` reads:
@@ -250,7 +231,7 @@ class _Index:
         return [tuple((c, *side(b, c), *side(c, a)) for c in _bits(empty[a][b]))
                 for a in range(n) for b in range(n)]
 
-    @_built_on_first_use
+    @cached_property
     def angular(self) -> list[list[tuple[int, int]]]:
         """Per point, the others in counterclockwise order, each with the
         bit of its edge, for reading rotations off an edge mask."""
@@ -665,7 +646,6 @@ def _direct_search(t: CombTriangulation, ix: _Index) -> list[int]:
             cand ^= low
             asg[v] = low.bit_length() - 1
             place(step + 1, used | low)
-        asg[v] = -1
 
     try:
         place(0, used)

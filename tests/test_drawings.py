@@ -635,3 +635,24 @@ def test_enumerated_triangulations_are_structurally_sound(raw):
     assert total == count_geometric_triangulations(ps) >= 1
     hist = classify_drawings(ps)
     assert sum(hist.values()) == total
+
+
+def test_each_call_builds_only_the_tables_it_reads():
+    # The lazy tables of the index are built on first use, so each public
+    # call leaves on a fresh point set exactly the tables that it reads.
+    t = build_k_nested_double_chain(1)
+    fixed = set(vars(drawings._Index(gen_double_chain(6, 6).points)))
+    count = {"cross", "step_table"}
+    calls = [
+        (lambda ps: count_drawings(t, ps), set()),
+        (count_geometric_triangulations, count),
+        (lambda ps: list(enumerate_geometric_triangulations(ps)), count),
+        (forced_edges_always_present, {"cross"}),
+        (count_polygonalizations, {"cross", "dart_cross"}),
+        (classify_drawings, count | {"angular"}),
+        (lambda ps: count_drawings(t, ps, backend="oracle"), count | {"angular", "darts"}),
+    ]
+    for call, tables in calls:
+        ps = gen_double_chain(6, 6)
+        call(ps)
+        assert set(vars(ps._index)) - fixed == tables
