@@ -27,8 +27,9 @@ open sets, not with the triangulations.  Working a set's steps out is a
 read of the index's step table, which holds, per dart, a record of each
 triangle that could close it.  What outlives a call is the
 index, tables of the points alone, which each point set builds on first
-use and keeps for as long as it lives.  The worker pools send the index
-with every task, so a worker builds nothing.
+use and keeps for as long as it lives.  `_mapped` runs the tasks of
+both searches that take `jobs` here or over a worker pool, which sends
+the index with every task, so a worker builds nothing.
 A drawing is its point set and edges: the public constructor checks user
 input once, with the index-free straight line check, triangulations built
 from a search's own masks skip it, and the structure of either is read
@@ -43,11 +44,10 @@ from __future__ import annotations
 
 import json
 import os
-from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, repeat
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from .comb import (
     CombTriangulation,
@@ -94,12 +94,7 @@ class GeomTriangulation:
         pairs = ps._index.pairs
         gt = object.__new__(cls)
         object.__setattr__(gt, "pointset", ps)
-        edges = []
-        while mask:  # the set bits, inline: a generator over them costs a fifth more
-            low = mask & -mask
-            mask ^= low
-            edges.append(pairs[low.bit_length() - 1])
-        object.__setattr__(gt, "edges", frozenset(edges))
+        object.__setattr__(gt, "edges", frozenset(map(pairs.__getitem__, _bits(mask))))
         return gt
 
     def to_json(self) -> str:
@@ -176,9 +171,9 @@ class _Index:
             self.incident[b] |= 1 << i
 
     # The tables below are built on first use and kept in the instance
-    # `__dict__`: a direct count reads none of them.  A caller that starts
-    # workers touches the ones they read first, so that those go out with
-    # the pickled index.
+    # `__dict__`: a direct count reads none of them.  A caller of `_mapped`
+    # touches the ones its tasks read first, so that those go out with the
+    # pickled index.
 
     @cached_property
     def cross(self) -> list[int]:
@@ -260,17 +255,16 @@ def _index_for(ps: PointSet) -> _Index:
     return ps._index
 
 
-def _worker_count(jobs: int, tasks: int) -> int:
-    # ProcessPoolExecutor starts all max_workers processes at the first
-    # submit, so more than the cores (or the tasks) only costs starts.
-    return max(min(jobs, os.cpu_count() or 1, tasks), 1)
-
-
-def _pooled(task: Callable, ix: _Index, items: list, workers: int, *args) -> list:
-    """[task(ix, item, *args) for item in items], over `workers` processes.
-    Every task carries the index, with the tables built so far, so a worker
+def _mapped(task: Callable, ix: _Index, items: Sequence, jobs: int, *args) -> list:
+    """[task(ix, item, *args) for item in items], in this process unless
+    jobs, the CPU count and the item count all exceed one; then over a
+    pool of their minimum, since a pool starts every worker at once.
+    Every task carries the index with the tables built so far, so a worker
     needs nothing from the parent.  An error cancels the tasks not yet
     started before it propagates."""
+    workers = min(jobs, os.cpu_count() or 1, len(items))
+    if workers <= 1:
+        return [task(ix, item, *args) for item in items]
     from concurrent.futures import ProcessPoolExecutor  # loaded only when used
     with ProcessPoolExecutor(max_workers=workers) as pool:
         try:
@@ -508,9 +502,8 @@ def classify_drawings(
     the hull), values how many geometric triangulations realize each.
 
     With jobs > 1 the search is split at the states two steps below the
-    root.  Worker processes, at most one per CPU, each take one state at
-    a time, search below it and code what they find; the parent only adds
-    up their histograms.
+    root, and `_mapped` spreads the states over workers, at most one per
+    CPU; the histograms of the later states are added into the first one.
     """
     ix = _guarded_index(ps, max_n)
     states = [_root(ix)]
@@ -518,23 +511,22 @@ def classify_drawings(
         for _ in range(2):  # a closed state stays: nothing open, nothing new
             states = [(o, m | new) for opened, m in states
                       for o, new, _ in (_steps(ix, opened, m) if opened else [(0, 0, 0)])]
-    workers = _worker_count(jobs, len(states))
-    if workers == 1:
-        return _class_histogram(ix, *states)
     ix.step_table, ix.angular  # built here, so that they go out with the index
-    hist: Counter[bytes] = Counter()
-    for part in _pooled(_class_histogram, ix, states, workers):
-        hist.update(part)
-    return dict(hist)
+    hist, *parts = _mapped(_class_histogram, ix, states, jobs)
+    for part in parts:
+        for key, count in part.items():
+            hist[key] = hist.get(key, 0) + count
+    return hist
 
 
-def _class_histogram(ix: _Index, *states: tuple[int, int]) -> dict[bytes, int]:
-    """Histogram of canonical codes over the triangulations below the states."""
+def _class_histogram(ix: _Index, state: tuple[int, int]) -> dict[bytes, int]:
+    """Histogram of canonical codes over the triangulations below the state."""
     code = _mask_coder(ix)
-    hist: dict[bytes, int] = defaultdict(int)
-    for mask in _triangulations(ix, *states):  # one search, one memo
-        hist[code(mask)] += 1
-    return dict(hist)
+    hist: dict[bytes, int] = {}
+    for mask in _triangulations(ix, state):
+        key = code(mask)
+        hist[key] = hist.get(key, 0) + 1
+    return hist
 
 
 def classify_to_csv(hist: dict[bytes, int]) -> str:
@@ -696,31 +688,25 @@ def count_polygonalizations(
 
     Depth first search over paths from point 0 with crossing pruning;
     each undirected cycle is counted once (direction fixed by comparing
-    the two neighbors of point 0).  The search raises RuntimeError as soon
-    as it has counted more than `cap` polygons; with jobs > 1 each worker
-    checks its own count, and the total is checked at the end.
+    the two neighbors of point 0), one search per neighbor, through
+    `_mapped`.  In this process and in workers alike, each search raises
+    RuntimeError once its own count passes `cap`, and the total is checked
+    at the end.
     """
     if len(ps) < 3:
         raise ValueError("need at least 3 points")
     ix = _guarded_index(ps, max_n, POLYGON_POINT_GUARD)
-    seconds = list(range(1, ix.n))
-    workers = _worker_count(jobs, len(seconds))
-    if workers > 1:
-        ix.dart_cross  # built here, so that it goes out with the index
-        total = sum(_pooled(_count_polygons_from, ix, seconds, workers, cap))
-    else:
-        total = 0
-        for v in seconds:
-            total = _count_polygons_from(ix, v, cap, total)
+    ix.dart_cross  # built here, so that it goes out with the index
+    total = sum(_mapped(_count_polygons_from, ix, range(1, ix.n), jobs, cap))
     if cap is not None and total > cap:
         raise RuntimeError(f"more than cap={cap} polygonalizations")
     return total
 
 
-def _count_polygons_from(ix: _Index, second: int, cap: int | None, count: int = 0) -> int:
-    """`count` plus the polygonalizations whose path leaves point 0
-    towards `second`, each counted in the direction whose last point
-    exceeds `second`.  Raises RuntimeError once the sum passes `cap`.
+def _count_polygons_from(ix: _Index, second: int, cap: int | None) -> int:
+    """The polygonalizations whose path leaves point 0 towards `second`,
+    each counted in the direction whose last point exceeds `second`.
+    Raises RuntimeError once the count passes `cap`.
 
     A node is (last, free, blocked): the path's end, the unvisited points,
     and the darts crossed by some path edge, an OR of `dart_cross` rows.
@@ -734,6 +720,7 @@ def _count_polygons_from(ix: _Index, second: int, cap: int | None, count: int = 
     rows = ix.dart_cross
     everyone = (1 << n) - 1
     above = everyone >> (second + 1) << (second + 1)
+    count = 0
 
     def extend(last: int, free: int, blocked: int) -> None:
         nonlocal count
@@ -842,14 +829,15 @@ def render_svg(gt: GeomTriangulation) -> str:
     ys = [p.y for p in pts]
     w, h = 840.0, 640.0
     pad = 40.0
-    dx = max(xs) - min(xs) or 1
-    dy = max(ys) - min(ys) or 1
+    x0, y0 = min(xs), min(ys)
+    dx = max(xs) - x0 or 1
+    dy = max(ys) - y0 or 1
     scale = min((w - 2 * pad) / dx, (h - 2 * pad) / dy)
 
     def at(p: Point) -> tuple[float, float]:
         return (
-            pad + (p.x - min(xs)) * scale,
-            h - pad - (p.y - min(ys)) * scale,  # y grows upward in the data
+            pad + (p.x - x0) * scale,
+            h - pad - (p.y - y0) * scale,  # y grows upward in the data
         )
 
     lines = [

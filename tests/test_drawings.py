@@ -200,6 +200,21 @@ def test_jobs_start_at_most_one_worker_per_core_and_task(monkeypatch):
     assert started == [4, 4, 3]
 
 
+def test_jobs_on_one_cpu_run_in_this_process(monkeypatch):
+    # jobs=2 still splits classify into its 14 states, but maps them here
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+    monkeypatch.setattr(drawings.os, "cpu_count", lambda: 1)
+    heptagon = PointSet(tuple((i, i * i + 13) for i in range(7)))
+    par = classify_drawings(heptagon, jobs=2)
+    assert par == classify_drawings(heptagon) and sum(par.values()) == 42
+    chain = gen_double_chain(4, 4)
+    assert count_polygonalizations(chain, jobs=2) == count_polygonalizations(chain) == 162
+
+
 def test_enumeration_guard_and_override():
     para15 = PointSet(tuple((i, i * i) for i in range(15)))
     with pytest.raises(ValueError, match="guard 14"):

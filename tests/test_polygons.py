@@ -8,6 +8,7 @@ import pytest
 
 from conftest import random_set
 from redraw.drawings import _index_for, count_polygonalizations
+import redraw.drawings as drawings
 from redraw.geometry import segments_cross
 from redraw.pointsets import PointSet, gen_double_chain, gen_nested_triangles
 
@@ -79,6 +80,23 @@ def test_cap_in_workers_and_on_the_total():
     with pytest.raises(RuntimeError, match="more than cap=6 polygonalizations"):
         count_polygonalizations(ps, cap=6, jobs=2)  # raised in a worker
     with pytest.raises(RuntimeError, match="more than cap=7 polygonalizations"):
-        count_polygonalizations(ps, cap=7)  # by the running count
+        count_polygonalizations(ps, cap=7)  # by the total, as with jobs=2
     assert count_polygonalizations(ps, cap=13, jobs=2) == 13
     assert count_polygonalizations(ps, cap=13) == 13
+
+
+def test_the_cap_has_one_rule_in_this_process_and_in_workers(monkeypatch):
+    # the searches from point 0 on 3+3 count 7, 5 and 1, so caps 5..13
+    # stop the first search, or only the total, or nothing
+    monkeypatch.setattr(drawings.os, "cpu_count", lambda: 2)
+    ps = gen_double_chain(3, 3)
+
+    def outcome(cap: int, jobs: int) -> int | str:
+        try:
+            return count_polygonalizations(ps, cap=cap, jobs=jobs)
+        except RuntimeError as error:
+            return str(error)
+
+    for cap in range(5, 14):
+        expected = 13 if cap == 13 else f"more than cap={cap} polygonalizations"
+        assert outcome(cap, 1) == outcome(cap, 2) == expected
