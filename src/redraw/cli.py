@@ -189,108 +189,94 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parser() -> _Parser:
-    p = _Parser(
-        prog="redraw",
-        description="triangulation drawing counts, enumeration and bounds",
-    )
+    p = _Parser(prog="redraw", description="triangulation drawing counts, enumeration and bounds")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(
-        sp: argparse.ArgumentParser,
-        func: Callable[[argparse.Namespace], None],
-        jobs: bool = False,
-        cap: bool = False,
-    ):
-        sp.set_defaults(func=func)
-        sp.add_argument("-o", "--out", help="write output to this file")
-        if jobs:
-            sp.add_argument("--jobs", type=int, default=1, help="worker count")
-        if cap:
-            sp.add_argument("--cap", type=int, help="abort beyond this many results")
+    out, jobs, cap = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    out.add_argument("-o", "--out", help="write output to this file")
+    jobs.add_argument("--jobs", type=int, default=1, help="worker count")
+    cap.add_argument("--cap", type=int, help="abort beyond this many results")
 
     sp = sub.add_parser("gen", help="generate a structured point set")
+    sp.set_defaults(func=_cmd_gen)
     families = sp.add_subparsers(dest="family", required=True)
-    sp = families.add_parser("double-chain")
+    sp = families.add_parser("double-chain", parents=[out])
     sp.add_argument("--t", type=int, required=True, help="upper chain size")
     sp.add_argument("--l", type=int, required=True, help="lower chain size")
-    common(sp, _cmd_gen)
-    sp = families.add_parser("nested-triangles")
+    sp = families.add_parser("nested-triangles", parents=[out])
     sp.add_argument("--n", type=int, required=True, help="point count")
-    common(sp, _cmd_gen)
 
     sp = sub.add_parser("build", help="build a reference triangulation")
+    sp.set_defaults(func=_cmd_build)
     families = sp.add_subparsers(dest="family", required=True)
-    sp = families.add_parser("nested-double-chain")
+    sp = families.add_parser("nested-double-chain", parents=[out])
     sp.add_argument("--k", type=int, required=True, help="layer count")
-    common(sp, _cmd_build)
-    sp = families.add_parser("nested-regular")
+    sp = families.add_parser("nested-regular", parents=[out])
     sp.add_argument("--n", type=int, required=True, help="vertex count")
-    common(sp, _cmd_build)
 
-    sp = sub.add_parser("tutte", help="exact triangulation count for n interior vertices")
+    sp = sub.add_parser("tutte", parents=[out],
+                        help="exact triangulation count for n interior vertices")
+    sp.set_defaults(func=_cmd_tutte)
     sp.add_argument("n", type=int)
-    common(sp, _cmd_tutte)
 
-    sp = sub.add_parser("enumerate", help="enumerate triangulations exhaustively")
+    sp = sub.add_parser("enumerate", parents=[out, cap],
+                        help="enumerate triangulations exhaustively")
+    sp.set_defaults(func=_cmd_enumerate)
     mode = sp.add_mutually_exclusive_group(required=True)
     mode.add_argument("--pointset", help="point set JSON file (geometric mode)")
     mode.add_argument("--interior", type=int, help="interior vertex count (abstract mode)")
     sp.add_argument("--stream", action="store_true", help="print one JSON per line")
-    common(sp, _cmd_enumerate, cap=True)
 
-    sp = sub.add_parser("count-drawings", help="count drawings of a triangulation on a point set")
-    sp.add_argument("--triangulation", help="rotation system JSON file")
-    sp.add_argument("--pointset", help="point set JSON file")
-    sp.add_argument("--t", type=int, help="shortcut: upper interior run of a double chain")
-    sp.add_argument("--l", type=int, help="shortcut: lower interior run of a double chain")
-    sp.add_argument(
-        "--backend",
-        choices=["direct", "oracle", "both"],
-        default="direct",
-        help="direct assignment search, exhaustive oracle, or both cross checked",
-    )
-    common(sp, _cmd_count_drawings)
+    sp = sub.add_parser("count-drawings", parents=[out],
+                        help="count drawings of a triangulation on a point set")
+    sp.set_defaults(func=_cmd_count_drawings)
+    structure = sp.add_mutually_exclusive_group(required=True)
+    structure.add_argument("--triangulation", help="rotation system JSON file")
+    structure.add_argument("--t", type=int, help="shortcut: upper interior run of a double chain")
+    points = sp.add_mutually_exclusive_group(required=True)
+    points.add_argument("--pointset", help="point set JSON file")
+    points.add_argument("--l", type=int, help="shortcut: lower interior run of a double chain")
+    sp.add_argument("--backend", choices=["direct", "oracle", "both"], default="direct",
+                    help="direct assignment search, exhaustive oracle, or both cross checked")
 
-    sp = sub.add_parser("classify", help="histogram of drawing classes of a point set")
+    sp = sub.add_parser("classify", parents=[out, jobs],
+                        help="histogram of drawing classes of a point set")
+    sp.set_defaults(func=_cmd_classify)
     sp.add_argument("--pointset", required=True)
-    common(sp, _cmd_classify, jobs=True)
 
-    sp = sub.add_parser("polygons", help="count polygonalizations of a point set")
+    sp = sub.add_parser("polygons", parents=[out, jobs, cap],
+                        help="count polygonalizations of a point set")
+    sp.set_defaults(func=_cmd_polygons)
     sp.add_argument("--pointset", required=True)
-    common(sp, _cmd_polygons, jobs=True, cap=True)
 
-    sp = sub.add_parser("layer-count", help="layered assembly count for k layers")
+    sp = sub.add_parser("layer-count", parents=[out], help="layered assembly count for k layers")
+    sp.set_defaults(func=_cmd_layer_count)
     sp.add_argument("k", type=int)
-    common(sp, _cmd_layer_count)
 
-    sp = sub.add_parser("bounds", help="optimize the degree distribution growth bound")
+    sp = sub.add_parser("bounds", parents=[out],
+                        help="optimize the degree distribution growth bound")
+    sp.set_defaults(func=_cmd_bounds)
     sp.add_argument(
         "--constraint",
         choices=sorted(_CONSTRAINT_TOKENS),
         default="none",
         help="paper: degree weighted mass balance, balance: mean degree four, none: simplex only",
     )
-    common(sp, _cmd_bounds)
 
-    sp = sub.add_parser("render", help="render a geometric triangulation to SVG")
+    sp = sub.add_parser("render", parents=[out], help="render a geometric triangulation to SVG")
+    sp.set_defaults(func=_cmd_render)
     sp.add_argument("--geom", required=True, help="geometric triangulation JSON file")
-    common(sp, _cmd_render)
 
     return p
 
 
 def _check_args(args: argparse.Namespace) -> str | None:
+    """The rules the parser cannot hold: at least one worker, and
+    count-drawings' two options from one input form, since each of its
+    groups takes either form."""
     if getattr(args, "jobs", 1) < 1:
         return f"--jobs must be at least 1, got {args.jobs}"
-    if args.command == "count-drawings":
-        shortcut, files = (args.t, args.l), (args.triangulation, args.pointset)
-        if shortcut == (None, None):
-            if None in files:
-                return "count-drawings needs --triangulation and --pointset, or --t/--l"
-        elif None in shortcut:
-            return "count-drawings shortcut needs both --t and --l"
-        elif files != (None, None):
-            return "count-drawings shortcut --t/--l takes no --triangulation or --pointset"
+    if args.command == "count-drawings" and (args.t is None) != (args.l is None):
+        return "count-drawings takes --triangulation with --pointset, or --t with --l"
     return None
 
 

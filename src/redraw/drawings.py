@@ -42,7 +42,6 @@ search.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -60,7 +59,7 @@ from .comb import (
     from_straight_line_drawing,
 )
 from .geometry import Point, _integer, _parsed, convex_hull
-from .pointsets import DoubleChain, PointSet
+from .pointsets import DoubleChain, PointSet, _pointset_from_data
 
 # Default ceilings for the exhaustive searches.  Callers can raise them
 # explicitly (max_n argument), the command line also via REDRAW_MAX_N.
@@ -105,7 +104,7 @@ class GeomTriangulation:
     @staticmethod
     def from_json(text: str) -> "GeomTriangulation":
         return _parsed(text, lambda data: GeomTriangulation(
-            PointSet.from_json(json.dumps(data["pointset"])), frozenset(map(tuple, data["edges"]))))
+            _pointset_from_data(data["pointset"]), frozenset(map(tuple, data["edges"]))))
 
 
 def to_comb(gt: GeomTriangulation) -> CombTriangulation:
@@ -501,13 +500,15 @@ def classify_drawings(
     Keys are codes of the induced combinatorial triangulations (rooted at
     the hull), values how many geometric triangulations realize each.
 
-    With jobs > 1 the search is split at the states two steps below the
-    root, and `_mapped` spreads the states over workers, at most one per
-    CPU; the histograms of the later states are added into the first one.
+    When jobs and the CPU count both exceed one, the search is split at
+    the states two steps below the root, and `_mapped` spreads the states
+    over workers, at most one per CPU; the histograms of the later states
+    are added into the first one.  Otherwise one search runs in this
+    process, with one memo of steps for the whole set.
     """
     ix = _guarded_index(ps, max_n)
     states = [_root(ix)]
-    if jobs > 1:
+    if min(jobs, os.cpu_count() or 1) > 1:  # a pool will start
         for _ in range(2):  # a closed state stays: nothing open, nothing new
             states = [(o, m | new) for opened, m in states
                       for o, new, _ in (_steps(ix, opened, m) if opened else [(0, 0, 0)])]

@@ -83,19 +83,23 @@ class PointSet:
 
     @staticmethod
     def from_json(text: str) -> "PointSet":
-        def build(data: dict) -> PointSet:
-            tag = data.get("family")
-            if tag is None:
-                family = None
-            elif "double_chain" in tag:
-                family = DoubleChain(*map(_integer, tag["double_chain"]))
-            elif "nested_triangles" in tag:
-                family = NestedTriangles(_integer(tag["nested_triangles"]))
-            else:
-                raise ValueError(f"unknown family tag: {tag}")
-            return PointSet(tuple(data["points"]), family)
+        """Parse the text of `to_json`; wrongly shaped JSON is a ValueError."""
+        return _parsed(text, _pointset_from_data)
 
-        return _parsed(text, build)
+
+def _pointset_from_data(data: dict) -> PointSet:
+    """The point set of a parsed `to_json` value, also for a JSON reader
+    whose text holds one, so that it parses its text once."""
+    tag = data.get("family")
+    if tag is None:
+        family = None
+    elif "double_chain" in tag:
+        family = DoubleChain(*map(_integer, tag["double_chain"]))
+    elif "nested_triangles" in tag:
+        family = NestedTriangles(_integer(tag["nested_triangles"]))
+    else:
+        raise ValueError(f"unknown family tag: {tag}")
+    return PointSet(tuple(data["points"]), family)
 
 
 def gen_double_chain(t: int, l: int) -> PointSet:

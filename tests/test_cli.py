@@ -293,6 +293,12 @@ def test_usage_errors_exit_two(tmp_path):
         ("count-drawings", "--t", "4", "--l", "4", "--pointset", "p56.json"),
         ("classify", "--pointset", "p56.json", "--jobs", "0"),
         ("polygons", "--pointset", "p56.json", "--jobs", "-1"),
+        ("count-drawings",),
+        ("count-drawings", "--triangulation", "k1.json"),
+        ("count-drawings", "--pointset", "p56.json"),
+        ("count-drawings", "--l", "4"),
+        ("count-drawings", "--t", "4", "--pointset", "p56.json"),
+        ("count-drawings", "--triangulation", "k1.json", "--l", "4"),
     ):
         r = run_cli(*args)
         assert r.returncode == 2, args
@@ -308,6 +314,19 @@ def test_usage_errors_exit_two(tmp_path):
         par = run_cli(command, "--pointset", str(f), "--jobs", "2")
         assert seq.returncode == par.returncode == 0, command
         assert par.stdout == seq.stdout and par.stderr == seq.stderr == "", command
+
+
+@pytest.mark.parametrize("command", [
+    (), ("gen",), ("gen", "double-chain"), ("gen", "nested-triangles"), ("build",),
+    ("build", "nested-double-chain"), ("build", "nested-regular"), ("tutte",), ("enumerate",),
+    ("count-drawings",), ("classify",), ("polygons",), ("layer-count",), ("bounds",),
+    ("render",),
+])
+def test_help_of_every_command(command, capsys):
+    with pytest.raises(SystemExit) as caught:
+        cli.main([*command, "--help"])
+    assert caught.value.code == 0
+    assert capsys.readouterr().out.startswith(" ".join(("usage: redraw", *command)))
 
 
 def test_non_integer_guard_env_is_a_usage_error():

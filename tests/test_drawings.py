@@ -201,7 +201,7 @@ def test_jobs_start_at_most_one_worker_per_core_and_task(monkeypatch):
 
 
 def test_jobs_on_one_cpu_run_in_this_process(monkeypatch):
-    # jobs=2 still splits classify into its 14 states, but maps them here
+    # on one CPU, jobs=2 starts no pool: classify runs one unsplit search
     class NoPool:
         def __init__(self, *args, **kwargs):
             raise AssertionError("a pool was started")
@@ -213,6 +213,31 @@ def test_jobs_on_one_cpu_run_in_this_process(monkeypatch):
     assert par == classify_drawings(heptagon) and sum(par.values()) == 42
     chain = gen_double_chain(4, 4)
     assert count_polygonalizations(chain, jobs=2) == count_polygonalizations(chain) == 162
+
+
+def test_classify_on_one_cpu_keeps_one_memo(monkeypatch):
+    # with no pool to feed, jobs=2 does not split the search, so it works
+    # out each open edge set's steps once, as jobs=1 does
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+    monkeypatch.setattr(drawings.os, "cpu_count", lambda: 1)
+    steps = drawings._steps
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return steps(*args)
+
+    monkeypatch.setattr(drawings, "_steps", counted)
+    seen = {}
+    for jobs in (1, 2):
+        calls.clear()
+        hist = classify_drawings(gen_double_chain(4, 5), jobs=jobs)  # a cold index
+        seen[jobs] = (len(calls), hist)
+    assert seen[2] == seen[1] and seen[1][0] > 0
 
 
 def test_enumeration_guard_and_override():
