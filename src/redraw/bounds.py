@@ -17,9 +17,10 @@ large-n stand-in for the counting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
+
+from .geometry import _Value
 
 DEGREES = (2, 3, 4, 5, 6)
 _LOG2_3 = math.log2(3.0)
@@ -40,14 +41,13 @@ def entropy(probs: Sequence[float]) -> float:
     return -sum(p * math.log2(p) for p in probs if p > 0)
 
 
-@dataclass(frozen=True)
-class AlphaVector:
+class AlphaVector(_Value):
     """Distribution over clamped degrees 2..6, in that order."""
 
-    alpha: tuple[float, float, float, float, float]
+    _fields = ("alpha",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", tuple(float(a) for a in self.alpha))
+    def __init__(self, alpha: Sequence[float]) -> None:
+        object.__setattr__(self, "alpha", tuple(float(a) for a in alpha))
         if len(self.alpha) != 5:
             raise ValueError("alpha has 5 entries, one per degree 2..6")
         if any(a < 0 for a in self.alpha):

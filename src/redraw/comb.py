@@ -19,12 +19,12 @@ points cannot be reflected.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cmp_to_key
 from math import comb as _binom
 from typing import Iterable, Iterator, Sequence
 
-from .geometry import Point, _integer, _parsed, convex_hull, general_position, segments_cross
+from .geometry import (
+    Point, _integer, _parsed, _Value, convex_hull, general_position, segments_cross)
 
 Edge = tuple[int, int]
 Dart = tuple[int, int]
@@ -54,8 +54,7 @@ def _splits(nbrs: Sequence[Iterable[int]], cut: set[int]) -> bool:
     return seen != rest
 
 
-@dataclass(frozen=True)
-class CombTriangulation:
+class CombTriangulation(_Value):
     """Rotation system plus designated outer face, labels 0-based.
 
     rotations[v] lists the neighbors of v in counterclockwise order;
@@ -64,16 +63,17 @@ class CombTriangulation:
     violated invariant, or on a label that is not an integer.
     """
 
-    num_vertices: int
-    outer_face: tuple[int, ...]
-    rotations: tuple[tuple[int, ...], ...]
+    _fields = ("num_vertices", "outer_face", "rotations")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "num_vertices", _integer(self.num_vertices))
-        object.__setattr__(self, "outer_face", tuple(map(_integer, self.outer_face)))
-        object.__setattr__(
-            self, "rotations", tuple(tuple(map(_integer, r)) for r in self.rotations)
-        )
+    def __init__(
+        self,
+        num_vertices: int,
+        outer_face: Sequence[int],
+        rotations: Sequence[Sequence[int]],
+    ) -> None:
+        object.__setattr__(self, "num_vertices", _integer(num_vertices))
+        object.__setattr__(self, "outer_face", tuple(map(_integer, outer_face)))
+        object.__setattr__(self, "rotations", tuple(tuple(map(_integer, r)) for r in rotations))
         self._validate()
 
     @classmethod
@@ -83,10 +83,11 @@ class CombTriangulation:
         outer_face: tuple[int, ...],
         rotations: tuple[tuple[int, ...], ...],
     ) -> CombTriangulation:
-        """Construction without `_validate`, for rotations read off a
-        straight line triangulation (by `from_straight_line_drawing`, which
-        checks it, or by `to_comb`, off the point set's index), from the
-        reverse search or from a builder's drawing.  Tests certify each."""
+        """Construction without the integer coercion and `_validate` of
+        `__init__`, for rotations read off a straight line triangulation
+        (by `from_straight_line_drawing`, which checks it, or by `to_comb`,
+        off the point set's index), from the reverse search or from a
+        builder's drawing.  Tests certify each."""
         t = object.__new__(cls)
         object.__setattr__(t, "num_vertices", num_vertices)
         object.__setattr__(t, "outer_face", outer_face)

@@ -43,10 +43,9 @@ search.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, repeat
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .comb import (
     CombTriangulation,
@@ -58,7 +57,7 @@ from .comb import (
     canonical_code,
     from_straight_line_drawing,
 )
-from .geometry import Point, _integer, _parsed, convex_hull
+from .geometry import Point, _integer, _parsed, _Value, convex_hull
 from .pointsets import DoubleChain, PointSet, _pointset_from_data
 
 # Default ceilings for the exhaustive searches.  Callers can raise them
@@ -70,25 +69,24 @@ POLYGON_POINT_GUARD = 16
 # -- geometric triangulations ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class GeomTriangulation:
+class GeomTriangulation(_Value):
     """Maximal crossing free straight line graph on a point set: the point
     set and its edges, nothing else.  The public constructor checks the
     edges with `from_straight_line_drawing`, which reads no index, so a
     drawing built from user input or JSON builds no index either;
     `to_comb` reads the structure off the index when asked for it."""
 
-    pointset: PointSet
-    edges: frozenset[Edge]
+    _fields = ("pointset", "edges")
 
-    def __post_init__(self) -> None:
-        edges = frozenset(_norm_edge(_integer(a), _integer(b)) for a, b in self.edges)
-        from_straight_line_drawing(self.pointset.points, edges)
+    def __init__(self, pointset: PointSet, edges: Iterable[Edge]) -> None:
+        edges = frozenset(_norm_edge(_integer(a), _integer(b)) for a, b in edges)
+        from_straight_line_drawing(pointset.points, edges)
+        object.__setattr__(self, "pointset", pointset)
         object.__setattr__(self, "edges", edges)
 
     @classmethod
     def _trusted(cls, ps: PointSet, mask: int) -> GeomTriangulation:
-        """Construction without the check of `__post_init__`, for a
+        """Construction without the check of `__init__`, for a
         triangulation mask that a search over the index of ps produced."""
         pairs = ps._index.pairs
         gt = object.__new__(cls)

@@ -37,6 +37,36 @@ def _parsed(text: str, build: Callable[[Any], Any]) -> Any:
         raise ValueError(f"wrongly shaped JSON: {type(exc).__name__}: {exc}") from None
 
 
+class _Value:
+    """Base of the package's immutable values.  A subclass lists its fields
+    in `_fields` and sets them in `__init__` with `object.__setattr__`;
+    equality, hashing and repr read those fields alone, and an instance
+    equals only an instance of its own class."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 class Orientation(Enum):
     CCW = 1
     COLLINEAR = 0

@@ -9,48 +9,51 @@ that passes the checks is an acceptable member of the family.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from math import lcm
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .geometry import Orientation, Point, _integer, _parsed, convex_hull, general_position, orient
+from .geometry import (
+    Orientation, Point, _integer, _parsed, _Value, convex_hull, general_position, orient)
 
 
-@dataclass(frozen=True)
-class DoubleChain:
+class DoubleChain(_Value):
     """Family tag: t upper-chain points and l lower-chain points."""
 
-    t: int
-    l: int
+    _fields = ("t", "l")
+
+    def __init__(self, t: int, l: int) -> None:
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "l", l)
 
 
-@dataclass(frozen=True)
-class NestedTriangles:
+class NestedTriangles(_Value):
     """Family tag: n points in nested triangular convex layers."""
 
-    n: int
+    _fields = ("n",)
+
+    def __init__(self, n: int) -> None:
+        object.__setattr__(self, "n", n)
 
 
 Family = object  # DoubleChain | NestedTriangles
 
 
-@dataclass(frozen=True)
-class PointSet:
+class PointSet(_Value):
     """Immutable labeled point set, optionally tagged with its family.
     A coordinate that is not an integer, 0.5 or "3", is a ValueError.
 
     `_index` holds the search tables of `drawings` and `_json` the text
     of `to_json`, each made on first use and dropped with the set; they
-    take no part in equality, hashing or repr."""
+    are not fields, so they take no part in equality, hashing or repr."""
 
-    points: tuple[Point, ...]
-    family: Optional[Family] = None
-    _index: object = field(default=None, init=False, repr=False, compare=False)
-    _json: Optional[str] = field(default=None, init=False, repr=False, compare=False)
+    _fields = ("points", "family")
+    _index: object = None
+    _json: Optional[str] = None
 
-    def __post_init__(self) -> None:
-        pts = tuple(Point(_integer(x), _integer(y)) for x, y in self.points)
+    def __init__(self, points: Sequence[Sequence[int]], family: Optional[Family] = None) -> None:
+        pts = tuple(Point(_integer(x), _integer(y)) for x, y in points)
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "family", family)
         if not general_position(pts):
             raise ValueError("points must be distinct and in general position")
         if isinstance(self.family, DoubleChain):

@@ -411,3 +411,27 @@ def test_start_up_imports_only_what_the_command_runs():
     out, mods = loaded_modules("layer-count", "2")
     assert out == "19\n"
     assert "redraw.drawings" in mods and "hashlib" not in mods
+
+
+def test_no_command_loads_dataclasses_or_inspect(tmp_path):
+    p, k1, geoms, geom = (str(tmp_path / f) for f in ("p.json", "k1.json", "g.jsonl", "geom.json"))
+    # each command of the README's session, with a module that defines a value class
+    session = [
+        (["gen", "double-chain", "--t", "3", "--l", "3", "-o", p], "redraw.pointsets"),
+        (["build", "nested-double-chain", "--k", "1", "-o", k1], "redraw.comb"),
+        (["tutte", "2"], "redraw.comb"),
+        (["enumerate", "--interior", "3"], "redraw.comb"),
+        (["enumerate", "--pointset", p, "--stream", "-o", geoms], "redraw.drawings"),
+        (["count-drawings", "--t", "4", "--l", "4", "--backend", "both"], "redraw.drawings"),
+        (["classify", "--pointset", p, "--jobs", "2"], "redraw.pointsets"),
+        (["polygons", "--pointset", p, "--jobs", "2"], "redraw.pointsets"),
+        (["bounds", "--constraint", "paper"], "redraw.bounds"),
+        (["layer-count", "3"], "redraw.drawings"),
+        (["render", "--geom", geom], "redraw.drawings"),
+    ]
+    for argv, home in session:
+        if argv[0] == "render":
+            Path(geom).write_text(Path(geoms).read_text().splitlines()[0])
+        _, mods = loaded_modules(*argv)
+        assert home in mods, argv
+        assert not mods & {"dataclasses", "inspect"}, argv
