@@ -61,10 +61,10 @@ class _Value:
         return f"{self.__class__.__qualname__}({fields})"
 
     def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
+        raise AttributeError(f"cannot assign {name!r}: {self.__class__.__name__} is immutable")
 
     def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
+        raise AttributeError(f"cannot delete {name!r}: {self.__class__.__name__} is immutable")
 
 
 class Orientation(Enum):
