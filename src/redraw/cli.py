@@ -5,7 +5,8 @@ classification, polygonalizations, growth bounds, rendering.  All output
 is JSON (CSV for classification histograms, SVG for rendering) so runs
 can be chained and diffed.  Failures print a machine readable error
 object to stderr as one JSON line and exit 1, or 2 for usage errors,
-argparse's own included.  The environment variable
+argparse's own included.  A reader that closes stdout early (`| head`)
+is no failure: exit 1, nothing on stderr.  The environment variable
 REDRAW_MAX_N overrides the guards on exhaustive searches.
 """
 
@@ -15,41 +16,24 @@ import argparse
 import json
 import os
 import sys
-from typing import TYPE_CHECKING, Callable, Iterable, NoReturn, Sequence
+from typing import TYPE_CHECKING, Iterable, NoReturn, Sequence
+
+from . import _HOMES
 
 if TYPE_CHECKING:
     from .pointsets import PointSet
 
 
-def _lazy(name: str) -> Callable:
-    """Stand-in for the package's function `name`, whose submodule is
-    imported when the stand-in is first called: a command loads only what
-    it runs, and a wrapper bound over the stand-in sees every call."""
-
-    def call(*args, **kwargs):
-        return getattr(sys.modules[__package__], name)(*args, **kwargs)
-
-    call.__name__ = call.__qualname__ = name
-    return call
+def __getattr__(name: str) -> object:
+    """The package's public names as this module's own (PEP 562), each
+    loaded on first read by the package's hook: a command loads only what
+    it runs, and a wrapper set on this module sees every call."""
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(sys.modules[__package__], name)
 
 
-exponent_rate = _lazy("exponent_rate")
-optimize_growth = _lazy("optimize_growth")
-build_k_nested_double_chain = _lazy("build_k_nested_double_chain")
-build_k_nested_regular = _lazy("build_k_nested_regular")
-enumerate_comb_triangulations = _lazy("enumerate_comb_triangulations")
-from_rotation_json = _lazy("from_rotation_json")
-tutte_count = _lazy("tutte_count")
-classify_drawings = _lazy("classify_drawings")
-classify_to_csv = _lazy("classify_to_csv")
-count_drawings = _lazy("count_drawings")
-count_geometric_triangulations = _lazy("count_geometric_triangulations")
-count_polygonalizations = _lazy("count_polygonalizations")
-enumerate_geometric_triangulations = _lazy("enumerate_geometric_triangulations")
-recursive_layer_count = _lazy("recursive_layer_count")
-render_svg = _lazy("render_svg")
-gen_double_chain = _lazy("gen_double_chain")
-gen_nested_triangles = _lazy("gen_nested_triangles")
+_cli = sys.modules[__name__]  # the commands call the package's names through it
 
 # --constraint choice -> name of the ConstraintKind member
 _CONSTRAINT_TOKENS = {"paper": "DEGREE_MASS", "balance": "MEAN_DEGREE", "none": "FREE"}
@@ -84,34 +68,32 @@ class BackendMismatch(Exception):
 
 
 def _load_pointset(args: argparse.Namespace) -> PointSet:
-    from .pointsets import PointSet
-
-    return PointSet.from_json(_read(args.pointset))
+    return _cli.PointSet.from_json(_read(args.pointset))
 
 
 def _cmd_gen(args: argparse.Namespace) -> None:
     if args.family == "double-chain":
-        ps = gen_double_chain(args.t, args.l)
+        ps = _cli.gen_double_chain(args.t, args.l)
     else:
-        ps = gen_nested_triangles(args.n)
+        ps = _cli.gen_nested_triangles(args.n)
     _emit(args, ps.to_json())
 
 
 def _cmd_build(args: argparse.Namespace) -> None:
     if args.family == "nested-double-chain":
-        t = build_k_nested_double_chain(args.k)
+        t = _cli.build_k_nested_double_chain(args.k)
     else:
-        t = build_k_nested_regular(args.n)
+        t = _cli.build_k_nested_regular(args.n)
     _emit(args, t.to_json())
 
 
 def _cmd_tutte(args: argparse.Namespace) -> None:
-    _emit(args, str(tutte_count(args.n)))
+    _emit(args, str(_cli.tutte_count(args.n)))
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> None:
     if args.interior is not None:
-        ts = enumerate_comb_triangulations(args.interior, cap=args.cap)
+        ts = _cli.enumerate_comb_triangulations(args.interior, cap=args.cap)
         if args.stream:
             _emit_lines(args, (t.to_json() for t in ts))
         else:
@@ -119,61 +101,57 @@ def _cmd_enumerate(args: argparse.Namespace) -> None:
         return
     ps = _load_pointset(args)
     if args.stream:
-        gen = enumerate_geometric_triangulations(ps, args.cap, args.max_n)
+        gen = _cli.enumerate_geometric_triangulations(ps, args.cap, args.max_n)
         _emit_lines(args, (gt.to_json() for gt in gen))
     else:
-        _emit(args, str(count_geometric_triangulations(ps, args.cap, args.max_n)))
+        _emit(args, str(_cli.count_geometric_triangulations(ps, args.cap, args.max_n)))
 
 
 def _cmd_count_drawings(args: argparse.Namespace) -> None:
     if args.t is not None:
-        t = build_k_nested_double_chain(1)
-        ps = gen_double_chain(args.t + 2, args.l + 2)
+        t = _cli.build_k_nested_double_chain(1)
+        ps = _cli.gen_double_chain(args.t + 2, args.l + 2)
     else:
-        t = from_rotation_json(_read(args.triangulation))
+        t = _cli.from_rotation_json(_read(args.triangulation))
         ps = _load_pointset(args)
     backends = ["direct", "oracle"] if args.backend == "both" else [args.backend]
-    counts = [count_drawings(t, ps, backend=b, max_n=args.max_n)[0] for b in backends]
+    counts = [_cli.count_drawings(t, ps, backend=b, max_n=args.max_n)[0] for b in backends]
     if len(counts) == 2 and counts[0] != counts[1]:
         raise BackendMismatch(f"direct={counts[0]} oracle={counts[1]} disagree")
     _emit(args, "\n".join(str(c) for c in counts))
 
 
 def _cmd_classify(args: argparse.Namespace) -> None:
-    hist = classify_drawings(_load_pointset(args), max_n=args.max_n, jobs=args.jobs)
-    _emit(args, classify_to_csv(hist))
+    hist = _cli.classify_drawings(_load_pointset(args), max_n=args.max_n, jobs=args.jobs)
+    _emit(args, _cli.classify_to_csv(hist))
 
 
 def _cmd_polygons(args: argparse.Namespace) -> None:
-    n = count_polygonalizations(
+    n = _cli.count_polygonalizations(
         _load_pointset(args), cap=args.cap, max_n=args.max_n, jobs=args.jobs
     )
     _emit(args, str(n))
 
 
 def _cmd_layer_count(args: argparse.Namespace) -> None:
-    _emit(args, str(recursive_layer_count(args.k)))
+    _emit(args, str(_cli.recursive_layer_count(args.k)))
 
 
 def _cmd_bounds(args: argparse.Namespace) -> None:
-    from .bounds import ConstraintKind
-
-    kind = ConstraintKind[_CONSTRAINT_TOKENS[args.constraint]]
-    vec, growth = optimize_growth(kind)
+    kind = _cli.ConstraintKind[_CONSTRAINT_TOKENS[args.constraint]]
+    vec, growth = _cli.optimize_growth(kind)
     report = {
         "constraint": kind.value,
         "alpha": list(vec.alpha),
         "growth": growth,
-        "exponent": exponent_rate(vec.alpha) / 8.0,
+        "exponent": _cli.exponent_rate(vec.alpha) / 8.0,
     }
     _emit(args, json.dumps(report, separators=(",", ":")))
 
 
 def _cmd_render(args: argparse.Namespace) -> None:
-    from .drawings import GeomTriangulation
-
-    gt = GeomTriangulation.from_json(_read(args.geom))
-    _emit(args, render_svg(gt))
+    gt = _cli.GeomTriangulation.from_json(_read(args.geom))
+    _emit(args, _cli.render_svg(gt))
 
 
 def _fail(kind: str, message: str) -> None:
@@ -293,6 +271,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.error(problem)
     try:
         args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:  # stdout's reader left; keep the exit's own flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except Exception as exc:  # surface everything as a structured error
         _fail(type(exc).__name__, str(exc))
         return 1

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import redraw
 from redraw import cli
 from redraw.comb import build_k_nested_regular, from_rotation_json
 from redraw.drawings import GeomTriangulation
@@ -435,3 +436,70 @@ def test_no_command_loads_dataclasses_or_inspect(tmp_path):
         _, mods = loaded_modules(*argv)
         assert home in mods, argv
         assert not mods & {"dataclasses", "inspect"}, argv
+
+
+# each package function a command calls, and a command that calls it
+CALLS = {
+    "gen_double_chain": ["gen", "double-chain", "--t", "3", "--l", "3"],
+    "gen_nested_triangles": ["gen", "nested-triangles", "--n", "6"],
+    "build_k_nested_double_chain": ["build", "nested-double-chain", "--k", "1"],
+    "build_k_nested_regular": ["build", "nested-regular", "--n", "5"],
+    "tutte_count": ["tutte", "2"],
+    "enumerate_comb_triangulations": ["enumerate", "--interior", "3"],
+    "count_geometric_triangulations": ["enumerate", "--pointset", "{p}"],
+    "enumerate_geometric_triangulations": ["enumerate", "--pointset", "{p}", "--stream"],
+    "from_rotation_json": ["count-drawings", "--triangulation", "{t}", "--pointset", "{q}"],
+    "count_drawings": ["count-drawings", "--t", "4", "--l", "4", "--backend", "both"],
+    "classify_drawings": ["classify", "--pointset", "{p}"],
+    "classify_to_csv": ["classify", "--pointset", "{p}"],
+    "count_polygonalizations": ["polygons", "--pointset", "{p}"],
+    "recursive_layer_count": ["layer-count", "2"],
+    "optimize_growth": ["bounds", "--constraint", "paper"],
+    "exponent_rate": ["bounds", "--constraint", "paper"],
+    "render_svg": ["render", "--geom", "{g}"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_a_wrapper_set_on_the_cli_sees_its_command_call(name, tmp_path, monkeypatch, capsys):
+    files = {key: tmp_path / f"{key}.json" for key in "ptqg"}
+    files["p"].write_text(gen_double_chain(3, 3).to_json())
+    files["t"].write_text(build_k_nested_regular(4).to_json())
+    files["q"].write_text(PointSet(((0, 0), (40, 0), (20, 30), (20, 12))).to_json())
+    first = next(redraw.enumerate_geometric_triangulations(gen_double_chain(3, 3)))
+    files["g"].write_text(first.to_json())
+    argv = [arg.format(**{key: str(f) for key, f in files.items()}) for arg in CALLS[name]]
+    monkeypatch.delenv("REDRAW_MAX_N", raising=False)
+    assert cli.main(argv) == 0
+    plain = capsys.readouterr()
+    real, calls = getattr(cli, name), []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, spy)
+    assert cli.main(argv) == 0
+    assert calls
+    assert capsys.readouterr() == plain
+
+
+def test_the_cli_reads_the_package_classes_and_no_other_name():
+    for name in ("PointSet", "GeomTriangulation", "ConstraintKind"):
+        assert getattr(cli, name) is getattr(redraw, name)
+    assert not hasattr(cli, "no_such_name")
+
+
+def test_a_reader_that_closes_the_stream_early_is_no_error(tmp_path):
+    f = tmp_path / "p66.json"
+    f.write_text(gen_double_chain(6, 6).to_json())
+    r = subprocess.Popen([sys.executable, "-m", "redraw", "enumerate", "--pointset", str(f),
+                          "--stream"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                         env=checkout_env())
+    line = r.stdout.readline()
+    r.stdout.close()
+    err = r.stderr.read()
+    r.stderr.close()
+    assert r.wait(timeout=60) == 1
+    assert GeomTriangulation.from_json(line).pointset == gen_double_chain(6, 6)
+    assert err == b""

@@ -1,6 +1,8 @@
 """The package's lazy namespace against its submodules."""
 
+import ast
 from importlib import import_module
+from pathlib import Path
 
 import pytest
 
@@ -37,3 +39,18 @@ def test_unknown_names_raise_attribute_error():
         with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
             getattr(redraw, name)
     assert not hasattr(redraw, "nope")
+
+
+@pytest.mark.parametrize("path", sorted(Path(redraw.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_every_imported_name_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {
+        (alias.asname or alias.name).partition(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert imported <= used
